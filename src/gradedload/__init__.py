@@ -57,10 +57,8 @@ from .system import (
     Discretization,
     SIESolution,
     SolutionBlock,
-    assemble_matrix,
     assemble_rhs,
     build_grid,
-    lu_solve,
     solve_system,
     step_weights,
 )
@@ -83,9 +81,7 @@ __all__ = [
     "SIESolution",
     "build_grid",
     "step_weights",
-    "assemble_matrix",
     "assemble_rhs",
-    "lu_solve",
     "solve_system",
     "BoundaryConstants",
     "FieldCoefficients",

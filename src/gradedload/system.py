@@ -3,27 +3,29 @@
 The four coupled integral equations on (0, 1) are discretized on a uniform
 grid ``x_k = k/N`` with piecewise-constant densities carrying the oscillation
 exponents ``x**(i delta)``.  Collocating at the right endpoints of the cells
-gives a dense ``4N x 4N`` complex block system per sign variant; the two
-variants ("+" and "-") differ only in the sign of the diagonal blocks and of
-the forcing, and are assembled and factorized independently.
+gives a ``4N x 4N`` complex block system for each sign variant ("+" and
+"-").  Block layout for the variant s = +-1 (rows are equations, columns
+unknown densities):
 
-Block layout (rows are equations, columns unknown densities):
-
-    [ D1   0    S+   R- ] [ F1^-]   [ r1 ]
-    [ 0    D2   R+   S- ] [ F1^+] = [ r2 ]
-    [ S-   R+   D3   0  ] [ F2^-]   [ r3 ]
-    [ R-   S+   0    D4 ] [ F2^+]   [ r4 ]
+    [ s D1   0     S+    R-  ] [ F1^-]   [ r1 ]
+    [ 0      s D2  R+    S-  ] [ F1^+] = [ r2 ]
+    [ S-     R+    s D3  0   ] [ F2^-]   [ r3 ]
+    [ R-     S+    0     s D4] [ F2^+]   [ r4 ]
 
 where S(delta) carries the fixed-singularity kernel in its first column and
 R(delta) is the regular complementary block; superscripts -/+ mark the two
-exponent families.
+exponent families.  In 2x2 form ``A_s = [[s D_a, X], [Y, s D_b]]`` with
+diagonal ``D_a``, ``D_b``.  The sign enters only the diagonal blocks and the
+forcing, so ``A_- = -J A_+ J`` with ``J = diag(I, -I)`` and the "-"
+solutions follow exactly from the "+" ones.  The "+" system is solved by
+eliminating ``D_a`` and factorizing the ``2N x 2N`` Schur complement once
+for both load components; the dense ``4N x 4N`` matrix is never formed.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,11 +40,17 @@ __all__ = [
     "SIESolution",
     "build_grid",
     "step_weights",
-    "assemble_matrix",
+    "singular_block",
+    "regular_block",
+    "BlockSystem",
+    "block_system",
     "assemble_rhs",
-    "lu_solve",
+    "block_solve",
     "solve_system",
 ]
+
+# smallest |entry| of D_a and |pivot| of the Schur complement accepted
+_PIVOT_MIN = 1e-300
 
 
 def step_weights(nodes: np.ndarray, delta: float) -> np.ndarray:
@@ -94,15 +102,15 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     collocation = nodes[1:]
     w_minus = step_weights(nodes, p.delta1_minus)
     w_plus = step_weights(nodes, p.delta1_plus)
-    m_minus = np.array([mellin_m(x, p.delta1_minus) for x in collocation])
-    m_plus = np.array([mellin_m(x, p.delta1_plus) for x in collocation])
+    m_minus = mellin_m(collocation, p.delta1_minus)
+    m_plus = mellin_m(collocation, p.delta1_plus)
     return Discretization(
         n=n, nodes=nodes, w_minus=w_minus, w_plus=w_plus,
         m_minus=m_minus, m_plus=m_plus,
     )
 
 
-def _singular_block(d: Discretization, weights: np.ndarray, heads: np.ndarray) -> np.ndarray:
+def singular_block(d: Discretization, weights: np.ndarray, heads: np.ndarray) -> np.ndarray:
     """Block S(delta): kernel 1/(y + x) with the fixed singularity at 0.
 
     Entries n >= 2 are w_n/(x_{n-1} + x_k); the first column carries the
@@ -116,62 +124,72 @@ def _singular_block(d: Discretization, weights: np.ndarray, heads: np.ndarray) -
     return block
 
 
-def _regular_block(d: Discretization, weights: np.ndarray) -> np.ndarray:
+def regular_block(d: Discretization, weights: np.ndarray) -> np.ndarray:
     """Block R(delta): regular kernel 1/(1 + y x)."""
     xk = d.nodes[1:]
     left = d.nodes[:-1]
     return weights[None, :] / (1.0 + left[None, :] * xk[:, None])
 
 
-def assemble_matrix(d: Discretization, p: DerivedParams, sign: int) -> np.ndarray:
-    """Assemble the dense ``4N x 4N`` collocation matrix for one sign variant.
+@dataclass(frozen=True)
+class BlockSystem:
+    """The collocation matrix ``A_s = [[s D_a, X], [Y, s D_b]]`` in blocks.
 
-    Parameters
-    ----------
-    d : Discretization
-    p : DerivedParams
-    sign : int
-        +1 or -1; flips the diagonal blocks only.
-
-    Returns
-    -------
-    ndarray of complex, shape (4N, 4N)
+    ``diag_a`` = (D1, D2) and ``diag_b`` = (D3, D4) hold the diagonals of
+    the "+" variant (s = +1); ``x`` = [[S+, R-], [R+, S-]] and
+    ``y`` = [[S-, R+], [R-, S+]] are the coupling blocks, which the sign
+    does not touch.  The dense matrix itself is never formed.
     """
-    if sign not in (1, -1):
-        raise ConfigError(f"sign variant must be +1 or -1, got {sign}")
-    # the assembly relies on the family pairing of the exponents
-    assert p.delta2_minus == p.delta1_plus and p.delta2_plus == p.delta1_minus
-    n = d.n
-    xk = d.nodes[1:]
-    log_xk = np.log(xk)
+
+    diag_a: np.ndarray
+    diag_b: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def apply(self, sign: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Product ``A_sign @ [u; v]`` for column stacks u and v."""
+        if sign not in (1, -1):
+            raise ConfigError(f"sign variant must be +1 or -1, got {sign}")
+        return (
+            sign * self.diag_a[:, None] * u + self.x @ v,
+            self.y @ u + sign * self.diag_b[:, None] * v,
+        )
+
+
+def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
+    """Collocation blocks of the system (see the module docstring).
+
+    Raises
+    ------
+    ConfigError
+        If the exponents break the family pairing delta2^- = delta1^+,
+        delta2^+ = delta1^-, on which the block layout rests.
+    """
+    if p.delta2_minus != p.delta1_plus or p.delta2_plus != p.delta1_minus:
+        raise ConfigError(
+            "block layout needs delta2^- == delta1^+ and delta2^+ == delta1^-, got "
+            f"delta2^- = {p.delta2_minus!r}, delta1^+ = {p.delta1_plus!r}, "
+            f"delta2^+ = {p.delta2_plus!r}, delta1^- = {p.delta1_minus!r}"
+        )
+    log_xk = np.log(d.nodes[1:])
     arg_minus = p.sigma - 1j / np.pi * log_xk
     arg_plus = p.sigma + 1j / np.pi * log_xk
     osc_minus = np.exp(1j * p.delta1_minus * log_xk)
     osc_plus = np.exp(1j * p.delta1_plus * log_xk)
-    scale = sign * 2j * np.pi
-    diag1 = scale * osc_minus / kernel_g(2, arg_minus, p)
-    diag2 = scale * osc_plus / kernel_g(2, arg_plus, p)
-    diag3 = scale * osc_plus / kernel_g(1, arg_minus, p)
-    diag4 = scale * osc_minus / kernel_g(1, arg_plus, p)
-    s_plus = _singular_block(d, d.w_plus, d.m_plus)
-    s_minus = _singular_block(d, d.w_minus, d.m_minus)
-    r_plus = _regular_block(d, d.w_plus)
-    r_minus = _regular_block(d, d.w_minus)
-    a = np.zeros((4 * n, 4 * n), dtype=complex)
-    rows = [slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n), slice(3 * n, 4 * n)]
-    a[rows[0], rows[0]] = np.diag(diag1)
-    a[rows[0], rows[2]] = s_plus
-    a[rows[0], rows[3]] = r_minus
-    a[rows[1], rows[1]] = np.diag(diag2)
-    a[rows[1], rows[2]] = r_plus
-    a[rows[1], rows[3]] = s_minus
-    a[rows[2], rows[0]] = s_minus
-    a[rows[2], rows[1]] = r_plus
-    a[rows[2], rows[2]] = np.diag(diag3)
-    a[rows[3], rows[0]] = r_minus
-    a[rows[3], rows[1]] = s_plus
-    a[rows[3], rows[3]] = np.diag(diag4)
-    return a
+    args = np.concatenate([arg_minus, arg_plus])
+    scale = 2j * np.pi
+    diag_a = scale * np.concatenate([osc_minus, osc_plus]) / kernel_g(2, args, p)
+    diag_b = scale * np.concatenate([osc_plus, osc_minus]) / kernel_g(1, args, p)
+    s_plus = singular_block(d, d.w_plus, d.m_plus)
+    s_minus = singular_block(d, d.w_minus, d.m_minus)
+    r_plus = regular_block(d, d.w_plus)
+    r_minus = regular_block(d, d.w_minus)
+    return BlockSystem(
+        diag_a=diag_a,
+        diag_b=diag_b,
+        x=np.block([[s_plus, r_minus], [r_plus, s_minus]]),
+        y=np.block([[s_minus, r_plus], [r_minus, s_plus]]),
+    )
 
 
 def assemble_rhs(d: Discretization, p: DerivedParams, sign: int, m: int) -> np.ndarray:
@@ -194,32 +212,62 @@ def assemble_rhs(d: Discretization, p: DerivedParams, sign: int, m: int) -> np.n
     return rhs
 
 
-def lu_solve(matrix: np.ndarray, rhs_columns: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Solve one matrix against several right-hand sides.
+def _require_divisors(block: str, what: str, values: np.ndarray) -> None:
+    """Raise unless every |value| is finite and at least ``_PIVOT_MIN``.
 
-    Factorizes once (dense LU with partial pivoting) and back-substitutes
-    each column.  Raises :class:`SingularMatrixError` when the factorization
-    is unusable.
+    Names the first non-finite value, or else the smallest one.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            factor = sla.lu_factor(matrix)
-    except sla.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
-        raise SingularMatrixError(str(exc)) from exc
-    lu, _ = factor
-    pivot_min = np.abs(np.diag(lu)).min()
-    if not np.isfinite(pivot_min) or pivot_min < 1e-300:
+    mag = np.abs(values)
+    k = int(np.argmin(np.where(np.isfinite(mag), mag, -1.0)))
+    if not (np.isfinite(mag[k]) and mag[k] >= _PIVOT_MIN):
         raise SingularMatrixError(
-            f"collocation matrix numerically singular (min pivot {pivot_min:.3e})"
+            f"{block}: |{what} {k}| = {mag[k]:.3e}, need finite and >= {_PIVOT_MIN:.0e}"
         )
-    solutions = []
-    for rhs in rhs_columns:
-        x = sla.lu_solve(factor, rhs)
-        if not np.all(np.isfinite(x)):
-            raise SingularMatrixError("non-finite entries in solution vector")
-        solutions.append(x)
-    return solutions
+
+
+def block_solve(
+    bs: BlockSystem, rhs_a: np.ndarray, rhs_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the "+" system ``A_+ [u; v] = [rhs_a; rhs_b]`` by elimination.
+
+    Eliminates the diagonal ``D_a``, factorizes the Schur complement
+    ``S = D_b - Y D_a^-1 X`` once (dense LU with partial pivoting), and
+    recovers ``u = D_a^-1 (rhs_a - X v)``.  One step of iterative
+    refinement with the same factors follows.  ``rhs_a`` and ``rhs_b`` may
+    hold several right-hand sides as columns.
+
+    Raises
+    ------
+    SingularMatrixError
+        If an entry of ``D_a`` or a pivot of S is zero or not finite, or
+        the refined solution is not finite.
+    """
+    da = bs.diag_a
+    _require_divisors("diagonal block D_a", "entry", da)
+    schur = -(bs.y @ (bs.x / da[:, None]))
+    schur[np.diag_indices_from(schur)] += bs.diag_b
+    with warnings.catch_warnings():
+        # an exactly zero pivot is reported below as a typed error
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        factors = sla.lu_factor(schur, check_finite=False)
+    _require_divisors("Schur complement S", "pivot", np.diagonal(factors[0]))
+
+    def eliminate(ra, rb):
+        v = sla.lu_solve(factors, rb - bs.y @ (ra / da[:, None]), check_finite=False)
+        return (ra - bs.x @ v) / da[:, None], v
+
+    u, v = eliminate(rhs_a, rhs_b)
+    au, av = bs.apply(1, u, v)
+    du, dv = eliminate(rhs_a - au, rhs_b - av)
+    u = u + du
+    v = v + dv
+    for name, part in (("u", u), ("v", v)):
+        bad = int(np.count_nonzero(~np.isfinite(part)))
+        if bad:
+            raise SingularMatrixError(
+                f"refined solution {name}: {bad} non-finite entries, need all finite"
+            )
+    return u, v
 
 
 @dataclass(frozen=True)
@@ -254,8 +302,13 @@ def solve_system(
 ) -> SIESolution:
     """Assemble and solve the collocation system end to end.
 
-    Both sign variants are assembled and factorized independently; each
-    factorization is reused for the two load components.
+    Only the "+" variant is solved, for both load components at once (see
+    :func:`block_solve`).  The "-" variant follows exactly: with
+    ``J = diag(I, -I)``, ``A_- = -J A_+ J`` and ``r_- = -r_+``, while
+    component m = 1 forces only the first half of the rows (``J r = r``)
+    and m = 2 only the second (``J r = -r``).  Hence the "-" solution is
+    ``[u, -v]`` for m = 1 and ``[-u, v]`` for m = 2.  Each residual is
+    measured against its own variant's system.
 
     Returns
     -------
@@ -263,20 +316,28 @@ def solve_system(
     """
     p = derive_params(config, sigma_fraction)
     d = build_grid(n, p)
+    bs = block_system(d, p)
+    rhs = {
+        sign: np.stack([assemble_rhs(d, p, sign, m) for m in (1, 2)], axis=1)
+        for sign in (1, -1)
+    }
+    u, v = block_solve(bs, rhs[1][:2 * n], rhs[1][2 * n:])
+    flip = np.array([1.0, -1.0])  # per load component m = 1, 2
+    densities = {1: (u, v), -1: (u * flip, -v * flip)}
     blocks: dict = {}
     residuals: dict = {}
-    for sign in (1, -1):
-        a = assemble_matrix(d, p, sign)
-        rhs_list = [assemble_rhs(d, p, sign, m) for m in (1, 2)]
-        sols = lu_solve(a, rhs_list)
-        for m, f in zip((1, 2), sols):
-            rhs = rhs_list[m - 1]
-            res = np.abs(a @ f - rhs).max() / np.abs(rhs).max()
+    for sign, (us, vs) in densities.items():
+        au, av = bs.apply(sign, us, vs)
+        r = rhs[sign]
+        res = np.maximum(
+            np.abs(au - r[:2 * n]).max(axis=0), np.abs(av - r[2 * n:]).max(axis=0)
+        ) / np.abs(r).max(axis=0)
+        for m in (1, 2):
             blocks[(sign, m)] = SolutionBlock(
-                f1_minus=f[0:n],
-                f1_plus=f[n:2 * n],
-                f2_minus=f[2 * n:3 * n],
-                f2_plus=f[3 * n:4 * n],
+                f1_minus=us[:n, m - 1],
+                f1_plus=us[n:, m - 1],
+                f2_minus=vs[:n, m - 1],
+                f2_plus=vs[n:, m - 1],
             )
-            residuals[(sign, m)] = float(res)
+            residuals[(sign, m)] = float(res[m - 1])
     return SIESolution(params=p, disc=d, blocks=blocks, residuals=residuals)

@@ -1,12 +1,15 @@
 """Special-function kernels: frozen spots, symmetries, and dual-route checks.
 
-The singular kernel M has two independent evaluation routes (subtracted
-series and adaptive quadrature); they are compared against each other, not
-against themselves.  Frozen complex values come from a 30-digit mpmath run.
+The singular kernel M is evaluated by one route (closed head plus a
+CVZ-accelerated alternating series); it is checked against adaptive
+quadrature of the defining integral and against a 40-digit mpmath
+hypergeometric closed form, not against itself.  Frozen complex values come
+from a 30-digit mpmath run.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,7 @@ from gradedload import (
     mellin_m,
     rhs_f,
 )
-from gradedload.kernels import _mellin_quad, _mellin_series
+from gradedload.kernels import _mellin_quad
 
 # frozen spot values (mpmath, 30 dps)
 B1_AT_1 = -0.08064049958557055  # nu = 0.3 material
@@ -36,6 +39,12 @@ M_095 = 0.6815075613961104 - 0.1670811480468601j  # M(0.95, 0.204)
 M_AT_1 = 0.6572263225401313 - 0.1601137881536339j  # M(1.0, delta1_minus)
 DELTA1_MINUS = 0.20405105386990351
 DELTA1_PLUS = -0.19938341895851416
+# materials whose exponent families span |delta| from 0.11 to 0.63
+MELLIN_CONFIGS = (
+    dict(nu=0.3, speed_ratio=0.05, nu_p=0.0),
+    dict(nu=0.1),
+    dict(nu=0.3, speed_ratio=0.95, nu_p=0.4),
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,15 +216,54 @@ def test_mellin_frozen_spots():
     assert mellin_m(1.0, DELTA1_MINUS) == pytest.approx(M_AT_1, rel=1e-10)
 
 
+def _family_deltas():
+    for material in MELLIN_CONFIGS:
+        p = derive_params(MaterialConfig(**material))
+        yield p.delta1_minus
+        yield p.delta1_plus
+
+
 def test_mellin_series_vs_quadrature_grid():
-    # dual routes compared across the working grid of both exponent families
+    # the accelerated series against adaptive quadrature at every node
+    # x = k/400, both exponent families, including x in (0.9, 1]
+    deltas = list(_family_deltas())
+    assert min(map(abs, deltas)) <= 0.111 and max(map(abs, deltas)) >= 0.62
+    x = np.arange(1, 401) / 400.0
     worst = 0.0
-    for delta in (DELTA1_MINUS, -DELTA1_MINUS, DELTA1_PLUS, -DELTA1_PLUS):
-        for x in np.arange(0.05, 0.951, 0.1):
-            series = _mellin_series(float(x), delta)
-            quadr = _mellin_quad(float(x), delta)
-            worst = max(worst, abs(series - quadr) / abs(quadr))
+    for delta in deltas:
+        series = mellin_m(x, delta)
+        for xk, value in zip(x, series):
+            quadr = _mellin_quad(float(xk), delta)
+            worst = max(worst, abs(value - quadr) / abs(quadr))
     assert worst <= 1e-10
+
+
+def _mp_mellin_closed(x: float, delta: float) -> complex:
+    # integral_0^1 y^{a-1}/(y + x) dy = 2F1(1, a; a + 1; -1/x) / (a x), a = 1 + i delta
+    with mp.workdps(40):
+        a = 1 + 1j * mp.mpf(repr(delta))
+        xm = mp.mpf(repr(x))
+        return complex(mp.hyp2f1(1, a, a + 1, -1 / xm) / (a * xm))
+
+
+def test_mellin_mpmath_oracle():
+    worst = 0.0
+    for delta in _family_deltas():
+        for x in (1e-12, 0.01, 0.5, 0.9, 0.95, 1.0):
+            ref = _mp_mellin_closed(x, delta)
+            worst = max(worst, abs(mellin_m(x, delta) - ref) / abs(ref))
+    assert worst <= 1e-13
+
+
+def test_mellin_array_matches_scalar():
+    x = np.concatenate([np.arange(1, 101) / 100.0, [1e-12, 0.123456789]])
+    for delta in _family_deltas():
+        values = mellin_m(x, delta)
+        assert values.shape == x.shape
+        scalars = np.array([mellin_m(float(xk), delta) for xk in x])
+        assert np.array_equal(values, scalars)
+    grid = mellin_m(x.reshape(2, -1), DELTA1_MINUS)
+    assert np.array_equal(grid.ravel(), mellin_m(x, DELTA1_MINUS))
 
 
 def test_mellin_small_x_limit():
@@ -242,12 +290,15 @@ def test_mellin_domain_gates():
         mellin_m(-0.3, 0.2)
     with pytest.raises(ValueError):
         mellin_m(0.5, 0.0)
+    for bad in ((0.5, 0.0, 1.0), (0.5, 1.0 + 1e-12), (0.5, np.nan, 0.25)):
+        with pytest.raises(ValueError):
+            mellin_m(np.array(bad), 0.2)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(x=st.floats(0.01, 0.89), delta=st.floats(0.01, 0.5))
 def test_mellin_route_agreement_and_reflection(x, delta):
-    series = _mellin_series(x, delta)
+    series = mellin_m(x, delta)
     assert abs(series - _mellin_quad(x, delta)) <= 1e-9 * abs(series)
     # conjugating the exponent conjugates the kernel
     assert mellin_m(x, -delta) == pytest.approx(np.conj(mellin_m(x, delta)), rel=1e-12)

@@ -1,22 +1,31 @@
 """Grid construction, matrix structure, forcing, and the linear solve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import gradedload.system as system
 from gradedload import (
     ConfigError,
     MaterialConfig,
     SingularMatrixError,
-    assemble_matrix,
     assemble_rhs,
     build_grid,
     derive_params,
     kernel_g,
-    lu_solve,
     mellin_m,
     rhs_f,
     solve_system,
     step_weights,
+)
+from gradedload.system import (
+    BlockSystem,
+    block_solve,
+    block_system,
+    regular_block,
+    singular_block,
 )
 
 
@@ -66,13 +75,54 @@ def test_weights_telescope(p01):
 # ---------------------------------------------------------------- matrix
 
 
+def _dense_matrix(d, p, sign):
+    """Dense 4N x 4N matrix of one sign variant, from the documented layout.
+
+    Independent of ``block_system``: the diagonals come straight from
+    kernel_g and the coupling blocks from the public block builders.
+    """
+    n = d.n
+    log_x = np.log(d.nodes[1:])
+    arg_minus = p.sigma - 1j / np.pi * log_x
+    arg_plus = p.sigma + 1j / np.pi * log_x
+    osc_minus = np.exp(1j * p.delta1_minus * log_x)
+    osc_plus = np.exp(1j * p.delta1_plus * log_x)
+    scale = sign * 2j * np.pi
+    diags = (
+        scale * osc_minus / kernel_g(2, arg_minus, p),
+        scale * osc_plus / kernel_g(2, arg_plus, p),
+        scale * osc_plus / kernel_g(1, arg_minus, p),
+        scale * osc_minus / kernel_g(1, arg_plus, p),
+    )
+    s_plus = singular_block(d, d.w_plus, d.m_plus)
+    s_minus = singular_block(d, d.w_minus, d.m_minus)
+    r_plus = regular_block(d, d.w_plus)
+    r_minus = regular_block(d, d.w_minus)
+    zero = np.zeros((n, n), dtype=complex)
+    d1, d2, d3, d4 = (np.diag(v) for v in diags)
+    return np.block([
+        [d1, zero, s_plus, r_minus],
+        [zero, d2, r_plus, s_minus],
+        [s_minus, r_plus, d3, zero],
+        [r_minus, s_plus, zero, d4],
+    ])
+
+
+def _dense_blocks(bs):
+    n = len(bs.diag_a) // 2
+    a = np.block([[np.diag(bs.diag_a), bs.x], [bs.y, np.diag(bs.diag_b)]])
+    return {
+        (bi, bj): a[bi * n:(bi + 1) * n, bj * n:(bj + 1) * n]
+        for bi in range(4) for bj in range(4)
+    }
+
+
 def test_matrix_block_structure(disc16, p01):
     n = disc16.n
-    a = assemble_matrix(disc16, p01, 1)
-    blocks = {}
-    for bi in range(4):
-        for bj in range(4):
-            blocks[(bi, bj)] = a[bi * n:(bi + 1) * n, bj * n:(bj + 1) * n]
+    bs = block_system(disc16, p01)
+    assert bs.diag_a.shape == bs.diag_b.shape == (2 * n,)
+    assert bs.x.shape == bs.y.shape == (2 * n, 2 * n)
+    blocks = _dense_blocks(bs)
     zero = np.zeros((n, n), dtype=complex)
     for ij in ((0, 1), (1, 0), (2, 3), (3, 2)):
         assert np.array_equal(blocks[ij], zero)
@@ -81,56 +131,74 @@ def test_matrix_block_structure(disc16, p01):
     assert np.array_equal(blocks[(0, 3)], blocks[(3, 0)])
     assert np.array_equal(blocks[(1, 2)], blocks[(2, 1)])
     assert np.array_equal(blocks[(1, 3)], blocks[(2, 0)])
-    # diagonal blocks are diagonal matrices
-    for bi in range(4):
-        block = blocks[(bi, bi)]
-        assert np.array_equal(block, np.diag(np.diag(block)))
+    # and they sit where the documented layout puts them
+    dense = _dense_matrix(disc16, p01, 1)
+    for (bi, bj), block in blocks.items():
+        expected = dense[bi * n:(bi + 1) * n, bj * n:(bj + 1) * n]
+        assert np.allclose(block, expected, rtol=1e-14, atol=0.0)
 
 
 def test_matrix_sign_flip(disc16, p01):
-    a_plus = assemble_matrix(disc16, p01, 1)
-    a_minus = assemble_matrix(disc16, p01, -1)
+    # the blockwise product of each variant matches its dense matrix, and
+    # flips with J = diag(I, -I) as A_- = -J A_+ J
     n = disc16.n
-    for bi in range(4):
-        sl = slice(bi * n, (bi + 1) * n)
-        assert np.array_equal(np.diag(a_plus[sl, sl]), -np.diag(a_minus[sl, sl]))
-    # off-diagonal blocks do not depend on the sign variant
-    mask = np.ones((4 * n, 4 * n), dtype=bool)
-    np.fill_diagonal(mask, False)
-    assert np.array_equal(a_plus[mask], a_minus[mask])
+    a_plus = _dense_matrix(disc16, p01, 1)
+    a_minus = _dense_matrix(disc16, p01, -1)
+    bs = block_system(disc16, p01)
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2))
+    v = rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2))
+    for sign, dense in ((1, a_plus), (-1, a_minus)):
+        au, av = bs.apply(sign, u, v)
+        ref = dense @ np.vstack([u, v])
+        assert np.allclose(np.vstack([au, av]), ref, rtol=1e-13, atol=1e-13)
+    pu, pv = bs.apply(1, u, -v)
+    mu, mv = bs.apply(-1, u, v)
+    assert np.array_equal(mu, -pu) and np.array_equal(mv, pv)
 
 
 def test_matrix_bad_sign(disc16, p01):
+    bs = block_system(disc16, p01)
+    u = np.zeros((2 * disc16.n, 1), dtype=complex)
     with pytest.raises(ConfigError):
-        assemble_matrix(disc16, p01, 0)
+        bs.apply(0, u, u)
+
+
+def test_exponent_pairing_enforced(disc16, p01):
+    # the block layout rests on delta2^- = delta1^+ and delta2^+ = delta1^-;
+    # a broken pairing is a typed error, not an assert stripped by -O
+    for field in ("delta2_minus", "delta2_plus"):
+        broken = replace(p01, **{field: getattr(p01, field) + 1e-3})
+        with pytest.raises(ConfigError, match="delta2"):
+            block_system(disc16, broken)
 
 
 def test_diagonal_entry_independent(p01):
     # re-evaluate one diagonal entry outside the assembler
     d = build_grid(50, p01)
-    a = assemble_matrix(d, p01, 1)
+    bs = block_system(d, p01)
     k = 25  # 1-based collocation index
     x = d.nodes[k]
     expected = (
         2j * np.pi * np.exp(1j * p01.delta1_minus * np.log(x))
         / kernel_g(2, p01.sigma - 1j / np.pi * np.log(x), p01)
     )
-    assert a[k - 1, k - 1] == pytest.approx(expected, rel=1e-13)
+    assert bs.diag_a[k - 1] == pytest.approx(expected, rel=1e-13)
     # third block diagonal pairs the other family with the first component
     expected3 = (
         2j * np.pi * np.exp(1j * p01.delta1_plus * np.log(x))
         / kernel_g(1, p01.sigma - 1j / np.pi * np.log(x), p01)
     )
-    assert a[2 * 50 + k - 1, 2 * 50 + k - 1] == pytest.approx(expected3, rel=1e-13)
+    assert bs.diag_b[k - 1] == pytest.approx(expected3, rel=1e-13)
 
 
 def test_singular_block_row_sums(disc16, p01):
     # the head column restores the exact row sum M(x_k, delta)
     n = disc16.n
-    a = assemble_matrix(disc16, p01, 1)
-    row_sums_13 = a[0:n, 2 * n:3 * n].sum(axis=1)
+    bs = block_system(disc16, p01)
+    row_sums_13 = bs.x[0:n, 0:n].sum(axis=1)
     assert np.allclose(row_sums_13, disc16.m_plus, rtol=1e-12, atol=1e-12)
-    row_sums_24 = a[n:2 * n, 3 * n:4 * n].sum(axis=1)
+    row_sums_24 = bs.x[n:, n:].sum(axis=1)
     assert np.allclose(row_sums_24, disc16.m_minus, rtol=1e-12, atol=1e-12)
     for k in (1, n):
         assert row_sums_13[k - 1] == pytest.approx(
@@ -171,32 +239,82 @@ def test_rhs_gates(disc16, p01):
 # ---------------------------------------------------------------- solve
 
 
+def _split(a, k=1):
+    """Blocks of a dense matrix whose k x k and trailing blocks are diagonal."""
+    a = np.asarray(a, dtype=complex)
+    return BlockSystem(
+        diag_a=np.diag(a[:k, :k]), diag_b=np.diag(a[k:, k:]), x=a[:k, k:], y=a[k:, :k]
+    )
+
+
 def test_lu_identity():
-    eye = np.eye(5, dtype=complex)
+    bs = _split(np.eye(5), k=2)
     rhs = np.arange(5.0) + 1j
-    (x,) = lu_solve(eye, [rhs])
-    assert np.array_equal(x, rhs)
+    u, v = block_solve(bs, rhs[:2, None], rhs[2:, None])
+    assert np.array_equal(np.concatenate([u, v])[:, 0], rhs)
 
 
 def test_lu_hand_inverted_case():
     a = np.array([[1.0 + 1.0j, 2.0], [3.0j, 4.0]])
-    b = np.array([1.0, 0.0], dtype=complex)
-    (x,) = lu_solve(a, [b])
-    assert x[0] == pytest.approx(0.8 + 0.4j, abs=1e-14)
-    assert x[1] == pytest.approx(0.3 - 0.6j, abs=1e-14)
+    bs = _split(a)
+    u, v = block_solve(bs, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
+    assert u[0, 0] == pytest.approx(0.8 + 0.4j, abs=1e-14)
+    assert v[0, 0] == pytest.approx(0.3 - 0.6j, abs=1e-14)
 
 
 def test_lu_singular_matrix():
-    a = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    with pytest.raises(SingularMatrixError):
-        lu_solve(a, [np.array([1.0, 0.0], dtype=complex)])
+    bs = _split(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SingularMatrixError, match="Schur complement"):
+        block_solve(bs, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
+    # a zero entry of the eliminated diagonal is caught before dividing
+    bs = _split(np.array([[0.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SingularMatrixError, match="D_a"):
+        block_solve(bs, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
+    # whatever slips past both gates is caught on the refined solution
+    bs = _split(np.eye(2))
+    with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError, match="non-finite"):
+        block_solve(bs, np.array([[np.inf + 0j]]), np.array([[0.0 + 0j]]))
 
 
 def test_lu_multiple_rhs():
-    a = np.array([[2.0, 0.0], [0.0, 4.0]], dtype=complex)
-    xs = lu_solve(a, [np.array([2.0, 4.0]), np.array([0.0, 8.0])])
-    assert np.allclose(xs[0], [1.0, 1.0])
-    assert np.allclose(xs[1], [0.0, 2.0])
+    bs = _split(np.array([[2.0, 0.0], [0.0, 4.0]]))
+    u, v = block_solve(bs, np.array([[2.0, 0.0]]), np.array([[4.0, 8.0]]))
+    assert np.allclose(u, [[1.0, 0.0]])
+    assert np.allclose(v, [[1.0, 2.0]])
+
+
+def test_singular_kernel_node_raises(monkeypatch):
+    # an infinite kernel symbol at one node zeroes a diagonal entry; the
+    # solve names the block and the bound instead of returning NaN or inf
+    original = system.kernel_g
+
+    def infinite_at_node(j, s, p):
+        out = np.array(original(j, s, p))
+        out[3] = np.inf
+        return out
+
+    monkeypatch.setattr(system, "kernel_g", infinite_at_node)
+    with pytest.raises(SingularMatrixError, match=r"D_a: \|entry 3\| = 0\.000e\+00, need"):
+        solve_system(MaterialConfig(), n=16)
+
+
+def test_dense_oracle_both_variants():
+    # both sign variants solved densely with scipy, independent of the
+    # block elimination and of the derived "-" variant
+    for n in (16, 50):
+        sol = solve_system(MaterialConfig(), n=n)
+        d, p = sol.disc, sol.params
+        dense = {sign: _dense_matrix(d, p, sign) for sign in (1, -1)}
+        j = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
+        assert np.array_equal(dense[-1], -(j[:, None] * dense[1] * j[None, :]))
+        for sign, a in dense.items():
+            for m in (1, 2):
+                ref = sla.solve(a, assemble_rhs(d, p, sign, m))
+                block = sol.blocks[(sign, m)]
+                got = np.concatenate(
+                    [block.f1_minus, block.f1_plus, block.f2_minus, block.f2_plus]
+                )
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_solve_system_residuals(case50):
