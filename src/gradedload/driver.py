@@ -2,9 +2,10 @@
 
 ``solve_case`` runs the whole chain (derived parameters, collocation solve,
 boundary functionals, load constants) once per configuration;
-``evaluate_point`` picks the expansion valid at a query point and assembles
-a :class:`~gradedload.fields.FieldResult`.  ``run_sweep`` repeats a case
-over a grading or speed grid and renders deterministic CSV rows.
+``evaluate_point`` picks the side of the load a query point lies on and
+evaluates the fields there with :func:`~gradedload.fields.evaluate_fields`.
+``run_sweep`` repeats a case over a grading or speed grid and renders
+deterministic CSV rows.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from .fields import (
     BoundaryConstants,
     FieldCoefficients,
     FieldResult,
-    _derivative_large_complex,
-    _derivative_small_complex,
-    _displacement_complex,
-    _project,
-    _stress_complex,
     boundary_phi,
     constants_c,
+    evaluate_fields,
     field_coeffs,
 )
 from .params import DerivedParams, MaterialConfig
@@ -50,8 +47,9 @@ class RunConfig:
     """Everything one invocation needs.
 
     ``points`` are (xi, y) query pairs.  For sweeps, ``sweep`` is "nu" or
-    "speed" and ``sweep_range`` is (start, stop, step) inclusive of the
-    endpoint up to half a step.
+    "speed" and ``sweep_range`` is (start, stop, step); the grid includes
+    ``stop`` when a whole number of steps reaches it, up to float drift, and
+    never goes past it.
     """
 
     material: MaterialConfig = field(default_factory=MaterialConfig)
@@ -61,8 +59,6 @@ class RunConfig:
     sweep: str | None = None
     sweep_range: tuple | None = None
     out: str | None = None
-    eta_max: float = 1.0
-    eta_min: float = 2.0
 
     def __post_init__(self) -> None:
         if self.sweep is not None:
@@ -86,10 +82,6 @@ class RunConfig:
                 )
         if not self.points:
             raise ConfigError("at least one query point is required")
-        if not (0.0 < self.eta_max < self.eta_min):
-            raise ConfigError(
-                f"need 0 < eta_max < eta_min, got {self.eta_max}, {self.eta_min}"
-            )
 
 
 @dataclass(frozen=True)
@@ -130,66 +122,16 @@ def solve_case(
     )
 
 
-def evaluate_point(
-    case: CaseSolution,
-    xi: float,
-    y: float,
-    eta_max: float = 1.0,
-    eta_min: float = 2.0,
-) -> FieldResult:
+def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
     """Evaluate displacements, derivatives and stresses at one point.
 
-    Chooses the near-surface expansion for eta <= eta_max and the deep one
-    for eta >= eta_min; the gap in between has no valid expansion and
+    Uses the near-surface expansion for eta = y/|xi - xi0| <= 1 and the
+    deep one for eta >= 2; the gap in between has no valid expansion and
     raises :class:`ExpansionRangeError`.
     """
-    p = case.params
     xi0 = case.config.xi0
-    if y < 0.0:
-        raise ConfigError(f"depth coordinate y must be >= 0, got {y}")
-    dist = abs(xi - xi0)
-    if dist == 0.0:
-        from .errors import SingularPointError
-
-        raise SingularPointError("field expansions diverge at the load point xi = xi0")
-    eta = y / dist
-    kappa = math.copysign(1.0, xi0 - xi)
-    coeffs = case.coefficients(kappa)
-    if eta <= eta_max:
-        u1c, u2c = _displacement_complex(coeffs, xi, xi0, y, p)
-        du1c, du2c = _derivative_small_complex(coeffs, xi, xi0, y, p)
-        if y == 0.0:
-            s12c, s22c = 0.0j, 0.0j
-        else:
-            s12c, s22c = _stress_complex(coeffs, xi, xi0, y, p)
-        u_scale = max(abs(u1c), abs(u2c))
-        du_scale = max(abs(du1c), abs(du2c))
-        s_scale = max(abs(s12c), abs(s22c))
-        u1, r1 = _project(u1c, u_scale)
-        u2, r2 = _project(u2c, u_scale)
-        du1, r3 = _project(du1c, du_scale)
-        du2, r4 = _project(du2c, du_scale)
-        s12, r5 = _project(s12c, s_scale)
-        s22, r6 = _project(s22c, s_scale)
-        return FieldResult(
-            xi=xi, y=y, eta=eta, expansion="near",
-            u1=u1, u2=u2, du1_dxi=du1, du2_dxi=du2, s12=s12, s22=s22,
-            imag_residue=max(r1, r2, r3, r4, r5, r6),
-        )
-    if eta >= eta_min:
-        du1c, du2c = _derivative_large_complex(coeffs, xi, xi0, y, p)
-        du_scale = max(abs(du1c), abs(du2c))
-        du1, r1 = _project(du1c, du_scale)
-        du2, r2 = _project(du2c, du_scale)
-        return FieldResult(
-            xi=xi, y=y, eta=eta, expansion="deep",
-            u1=None, u2=None, du1_dxi=du1, du2_dxi=du2, s12=None, s22=None,
-            imag_residue=max(r1, r2),
-        )
-    raise ExpansionRangeError(
-        f"eta = {eta:.3f} falls between the near range (<= {eta_max}) "
-        f"and the deep range (>= {eta_min})"
-    )
+    coeffs = case.coefficients(math.copysign(1.0, xi0 - xi))
+    return evaluate_fields(coeffs, xi, xi0, y, case.params)
 
 
 def run_case(rc: RunConfig) -> CaseReport:
@@ -202,7 +144,7 @@ def run_case(rc: RunConfig) -> CaseReport:
     results = []
     for xi, y in rc.points:
         try:
-            res = evaluate_point(case, xi, y, eta_max=rc.eta_max, eta_min=rc.eta_min)
+            res = evaluate_point(case, xi, y)
         except ExpansionRangeError:
             eta = y / abs(xi - case.config.xi0)
             res = FieldResult(
@@ -251,13 +193,15 @@ def format_report(report: CaseReport) -> str:
         kappa = math.copysign(1.0, case.config.xi0 - res.xi)
         if kappa not in seen_kappa:
             seen_kappa.append(kappa)
+    # the eta^3 coefficient vanishes by periodicity; its column stays in the
+    # layout
     for kappa in seen_kappa:
         co = case.coefficients(kappa)
         for j in (0, 1):
             lines.append(
                 f"coeffs kappa={kappa:+.0f} j={j + 1}: "
                 f"d0={_fmtc(co.d0[j])} d1={_fmtc(co.d1[j])} "
-                f"d2={_fmtc(co.d2[j])} d3={_fmtc(co.d3[j])} "
+                f"d2={_fmtc(co.d2[j])} d3=0+0j "
                 f"e0={_fmtc(co.e0[j])} e1={_fmtc(co.e1[j])}"
             )
     for res in report.results:
@@ -276,13 +220,14 @@ def format_report(report: CaseReport) -> str:
 
 
 def _sweep_values(sweep_range: tuple) -> list[float]:
-    # Inclusive grid; tolerate float drift of half a step at the endpoint.
+    # Inclusive grid; tolerate float drift at the endpoint, but no whole step
+    # beyond the endpoint that RunConfig validated.
     start, stop, step = sweep_range
     values = []
     k = 0
     while True:
         value = start + k * step
-        if value > stop + step / 2:
+        if value > stop + 1e-9 * step:
             break
         values.append(value)
         k += 1
@@ -312,7 +257,7 @@ def run_sweep(rc: RunConfig) -> tuple[list[str], list[list[str]]]:
             material = replace(rc.material, speed_ratio=value)
         try:
             case = solve_case(material, n=rc.n, sigma_fraction=rc.sigma_fraction)
-            res = evaluate_point(case, xi, y, eta_max=rc.eta_max, eta_min=rc.eta_min)
+            res = evaluate_point(case, xi, y)
         except ConfigError:
             raise
         except GradedLoadError as exc:

@@ -4,7 +4,9 @@ From a solved collocation system this module recovers the boundary values
 ``Phi_{j +-}^{(m)}(nu - 1)``, the 2x2 determinants ``Delta_+-`` and the load
 constants ``C_{j +-}``, and finally the expansion coefficients that give the
 displacements, their tangential derivatives, and the stresses near the
-surface (small eta = y/|xi - xi0|) or at depth (large eta).
+surface (small eta = y/|xi - xi0|) or at depth (large eta).  The fields at
+a point come from one function, :func:`evaluate_fields`, which the public
+entry point :func:`gradedload.driver.evaluate_point` calls.
 
 Physical outputs are real; the computed complex values carry a small
 imaginary residue from the discretization, which is recorded and projected
@@ -26,7 +28,7 @@ from .errors import (
     SingularPointError,
 )
 from .kernels import coeff_b
-from .params import MU0, DerivedParams, MaterialConfig
+from .params import DerivedParams, MaterialConfig
 from .system import SIESolution
 
 __all__ = [
@@ -37,16 +39,17 @@ __all__ = [
     "determinant_delta",
     "constants_c",
     "field_coeffs",
-    "displacement_field",
-    "displacement_derivative",
-    "stress_field",
-    "derivative_large_eta",
+    "NEAR_ETA_MAX",
+    "DEEP_ETA_MIN",
 ]
 
 # |Delta| below this is too degenerate to divide by
 _DELTA_FLOOR = 1e-8
 # hard sanity bound on any imaginary residue of a projected field value
 _RESIDUE_SANITY = 1e-2
+# eta = y/|xi - xi0| ranges of the near-surface and the deep expansion
+NEAR_ETA_MAX = 1.0
+DEEP_ETA_MIN = 2.0
 
 _SIGN_INDEX = {1: 0, -1: 1}
 
@@ -160,18 +163,17 @@ def constants_c(
 class FieldCoefficients:
     """Expansion coefficients for one side of the load (one kappa).
 
-    ``d0..d3`` drive the near-surface displacement expansion in powers of
+    ``d0..d2`` drive the near-surface displacement expansion in powers of
     eta, ``e0, e1`` the deep expansion of the tangential derivative.  All
     arrays are indexed by component (j - 1).  ``d1`` and ``e0`` vanish
     analytically through the boundary conditions and are kept as numerical
-    checks; ``d3`` vanishes by periodicity.
+    checks; the eta^3 coefficient vanishes by periodicity and is omitted.
     """
 
     kappa: float
     d0: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d3: np.ndarray
     e0: np.ndarray
     e1: np.ndarray
 
@@ -194,7 +196,6 @@ def field_coeffs(
     d0 = np.zeros(2, dtype=complex)
     d1 = np.zeros(2, dtype=complex)
     d2 = np.zeros(2, dtype=complex)
-    d3 = np.zeros(2, dtype=complex)
     e0 = np.zeros(2, dtype=complex)
     e1 = np.zeros(2, dtype=complex)
     # signed sums of C against the boundary functionals, per component
@@ -223,202 +224,17 @@ def field_coeffs(
             * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0)
             * (c_plus[2 - j] * turn + c_minus[2 - j] / turn)
         )
-    return FieldCoefficients(kappa=kappa, d0=d0, d1=d1, d2=d2, d3=d3, e0=e0, e1=e1)
-
-
-def _check_point(xi: float, xi0: float, y: float) -> tuple[float, float]:
-    if y < 0.0:
-        raise ConfigError(f"depth coordinate y must be >= 0, got {y}")
-    dist = abs(xi - xi0)
-    if dist == 0.0:
-        raise SingularPointError("field expansions diverge at the load point xi = xi0")
-    return dist, y / dist
-
-
-def _project(value: complex, scale: float) -> tuple[float, float]:
-    """Return (real part, relative imaginary residue)."""
-    magnitude = max(abs(value), scale)
-    if magnitude == 0.0:
-        return 0.0, 0.0
-    residue = abs(value.imag) / magnitude
-    if residue > _RESIDUE_SANITY:
-        raise RealnessError(
-            f"imaginary residue {residue:.3e} exceeds sanity bound {_RESIDUE_SANITY}"
-        )
-    return value.real, residue
-
-
-def _displacement_complex(
-    coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
-) -> tuple[complex, complex]:
-    dist, eta = _check_point(xi, xi0, y)
-    amp = dist ** (-p.nu)
-    out = []
-    for j in (0, 1):
-        series = (
-            coeffs.d0[j]
-            + coeffs.d1[j] * eta
-            + coeffs.d2[j] * eta**2
-            + coeffs.d3[j] * eta**3
-        )
-        out.append(amp * series)
-    return out[0], out[1]
-
-
-def displacement_field(
-    coeffs: FieldCoefficients,
-    xi: float,
-    xi0: float,
-    y: float,
-    p: DerivedParams,
-    eta_max: float = 1.0,
-) -> tuple[float, float]:
-    """Displacements ``u_1, u_2`` from the near-surface expansion.
-
-    Valid for eta = y/|xi - xi0| <= eta_max.
-
-    Returns
-    -------
-    (u1, u2) : floats (real parts; residues recorded by the caller level)
-    """
-    dist, eta = _check_point(xi, xi0, y)
-    if eta > eta_max:
-        raise ExpansionRangeError(
-            f"near-surface expansion needs eta <= {eta_max}, got {eta:.3f}"
-        )
-    u1c, u2c = _displacement_complex(coeffs, xi, xi0, y, p)
-    scale = max(abs(u1c), abs(u2c))
-    return _project(u1c, scale)[0], _project(u2c, scale)[0]
-
-
-def _derivative_small_complex(
-    coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
-) -> tuple[complex, complex]:
-    dist, eta = _check_point(xi, xi0, y)
-    direction = math.copysign(1.0, xi - xi0)
-    amp = direction * dist ** (-p.nu - 1.0)
-    out = []
-    for j in (0, 1):
-        series = (
-            -p.nu * coeffs.d0[j]
-            - (p.nu + 1.0) * coeffs.d1[j] * eta
-            - (p.nu + 2.0) * coeffs.d2[j] * eta**2
-            - (p.nu + 3.0) * coeffs.d3[j] * eta**3
-        )
-        out.append(amp * series)
-    return out[0], out[1]
-
-
-def displacement_derivative(
-    coeffs: FieldCoefficients,
-    xi: float,
-    xi0: float,
-    y: float,
-    p: DerivedParams,
-    eta_max: float = 1.0,
-) -> tuple[float, float]:
-    """Tangential derivatives ``du_j/dxi`` from the near-surface expansion."""
-    dist, eta = _check_point(xi, xi0, y)
-    if eta > eta_max:
-        raise ExpansionRangeError(
-            f"near-surface expansion needs eta <= {eta_max}, got {eta:.3f}"
-        )
-    d1c, d2c = _derivative_small_complex(coeffs, xi, xi0, y, p)
-    scale = max(abs(d1c), abs(d2c))
-    return _project(d1c, scale)[0], _project(d2c, scale)[0]
-
-
-def _stress_complex(
-    coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
-) -> tuple[complex, complex]:
-    dist, eta = _check_point(xi, xi0, y)
-    nu = p.nu
-    lam0 = p.cd2_cs2 - 2.0  # lam0/mu0 from (lam0 + 2 mu0)/mu0
-    lamp2 = p.cd2_cs2
-    front = eta**nu / dist
-    d0, d2 = coeffs.d0, coeffs.d2
-    # index pairing of the printed expansion: the shear stress mixes the
-    # normal zeroth-order with the tangential second-order coefficient,
-    # the normal stress the other way around
-    s12 = front * (
-        -nu * d0[1] + 2.0 * d2[0] * eta - (nu + 2.0) * d2[1] * eta**2
-    )
-    s22 = front * (
-        -lam0 * nu * d0[0]
-        + lamp2 * 2.0 * d2[1] * eta
-        - lam0 * (nu + 2.0) * d2[0] * eta**2
-    )
-    return s12, s22
-
-
-def stress_field(
-    coeffs: FieldCoefficients,
-    xi: float,
-    xi0: float,
-    y: float,
-    p: DerivedParams,
-    eta_max: float = 1.0,
-) -> tuple[float, float]:
-    """Stresses ``sigma_12/mu0, sigma_22/mu0`` from the near-surface expansion.
-
-    At y = 0 the expansion has the exact limit 0 (traction-free surface away
-    from the load point) and returns exact zeros.
-    """
-    dist, eta = _check_point(xi, xi0, y)
-    if eta > eta_max:
-        raise ExpansionRangeError(
-            f"near-surface expansion needs eta <= {eta_max}, got {eta:.3f}"
-        )
-    if y == 0.0:
-        return 0.0, 0.0
-    s12c, s22c = _stress_complex(coeffs, xi, xi0, y, p)
-    scale = max(abs(s12c), abs(s22c))
-    return _project(s12c, scale)[0], _project(s22c, scale)[0]
-
-
-def _derivative_large_complex(
-    coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
-) -> tuple[complex, complex]:
-    dist, eta = _check_point(xi, xi0, y)
-    nu = p.nu
-    out = []
-    for j in (0, 1):
-        value = (coeffs.e0[j] + coeffs.e1[j] * eta ** (nu - 1.0)) / (
-            np.pi * (xi - xi0) * y**nu
-        )
-        out.append(value)
-    return out[0], out[1]
-
-
-def derivative_large_eta(
-    coeffs: FieldCoefficients,
-    xi: float,
-    xi0: float,
-    y: float,
-    p: DerivedParams,
-    eta_min: float = 2.0,
-) -> tuple[float, float]:
-    """Tangential derivatives ``du_j/dxi`` from the deep expansion.
-
-    Valid for eta = y/|xi - xi0| >= eta_min (requires y > 0).
-    """
-    dist, eta = _check_point(xi, xi0, y)
-    if eta < eta_min:
-        raise ExpansionRangeError(
-            f"deep expansion needs eta >= {eta_min}, got {eta:.3f}"
-        )
-    d1c, d2c = _derivative_large_complex(coeffs, xi, xi0, y, p)
-    scale = max(abs(d1c), abs(d2c))
-    return _project(d1c, scale)[0], _project(d2c, scale)[0]
+    return FieldCoefficients(kappa=kappa, d0=d0, d1=d1, d2=d2, e0=e0, e1=e1)
 
 
 @dataclass(frozen=True)
 class FieldResult:
     """Evaluated fields at one query point.
 
-    ``expansion`` is "near" (eta <= eta_max: displacements, derivatives and
-    stresses available), "deep" (eta >= eta_min: derivatives only) or
-    "out-of-range" (eta between the two expansions: nothing available).
+    ``expansion`` is "near" (eta <= NEAR_ETA_MAX: displacements,
+    derivatives and stresses available), "deep" (eta >= DEEP_ETA_MIN:
+    derivatives only) or "out-of-range" (eta between the two expansions:
+    nothing available).
     Unavailable entries are None.  ``imag_residue`` is the largest relative
     imaginary residue projected out of the reported values.
     """
@@ -434,3 +250,93 @@ class FieldResult:
     s12: float | None
     s22: float | None
     imag_residue: float
+
+
+def _project(a: complex, b: complex) -> tuple[float, float, float]:
+    """Real parts of a field pair and its relative imaginary residue."""
+    scale = max(abs(a), abs(b))
+    if scale == 0.0:
+        return 0.0, 0.0, 0.0
+    residue = max(abs(a.imag), abs(b.imag)) / scale
+    if residue > _RESIDUE_SANITY:
+        raise RealnessError(
+            f"imaginary residue {residue:.3e} exceeds sanity bound {_RESIDUE_SANITY}"
+        )
+    return a.real, b.real, residue
+
+
+def evaluate_fields(
+    coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
+) -> FieldResult:
+    """Fields at (xi, y) from the expansion valid there.
+
+    ``coeffs`` are those of the side ``kappa = sgn(xi0 - xi)``.  The
+    near-surface expansion (eta <= NEAR_ETA_MAX) gives displacements,
+    tangential derivatives and stresses; at y = 0 the stresses take their
+    exact limit 0 (traction-free surface away from the load point).  The
+    deep expansion (eta >= DEEP_ETA_MIN) gives the derivatives only.
+
+    Raises
+    ------
+    ConfigError
+        If y < 0.
+    SingularPointError
+        At the load point xi = xi0, where the expansions diverge.
+    ExpansionRangeError
+        If eta falls between the two ranges.
+    RealnessError
+        If a projected pair keeps an imaginary residue above 1e-2.
+    """
+    if y < 0.0:
+        raise ConfigError(f"depth coordinate y must be >= 0, got {y}")
+    dist = abs(xi - xi0)
+    if dist == 0.0:
+        raise SingularPointError("field expansions diverge at the load point xi = xi0")
+    eta = y / dist
+    nu = p.nu
+    if eta <= NEAR_ETA_MAX:
+        d0, d1, d2 = coeffs.d0, coeffs.d1, coeffs.d2
+        amp = dist ** (-nu)
+        u1, u2, r_u = _project(
+            *(amp * (d0[j] + d1[j] * eta + d2[j] * eta**2) for j in (0, 1))
+        )
+        amp = math.copysign(1.0, xi - xi0) * dist ** (-nu - 1.0)
+        du1, du2, r_du = _project(*(
+            amp * (-nu * d0[j] - (nu + 1.0) * d1[j] * eta - (nu + 2.0) * d2[j] * eta**2)
+            for j in (0, 1)
+        ))
+        if y == 0.0:
+            s12, s22, r_s = 0.0, 0.0, 0.0
+        else:
+            lam0 = p.cd2_cs2 - 2.0  # lam0/mu0 from (lam0 + 2 mu0)/mu0
+            front = eta**nu / dist
+            # index pairing of the printed expansion: the shear stress mixes
+            # the normal zeroth-order with the tangential second-order
+            # coefficient, the normal stress the other way around
+            s12, s22, r_s = _project(
+                front * (-nu * d0[1] + 2.0 * d2[0] * eta - (nu + 2.0) * d2[1] * eta**2),
+                front * (
+                    -lam0 * nu * d0[0]
+                    + p.cd2_cs2 * 2.0 * d2[1] * eta
+                    - lam0 * (nu + 2.0) * d2[0] * eta**2
+                ),
+            )
+        return FieldResult(
+            xi=xi, y=y, eta=eta, expansion="near",
+            u1=u1, u2=u2, du1_dxi=du1, du2_dxi=du2, s12=s12, s22=s22,
+            imag_residue=max(r_u, r_du, r_s),
+        )
+    if eta >= DEEP_ETA_MIN:
+        du1, du2, r_du = _project(*(
+            (coeffs.e0[j] + coeffs.e1[j] * eta ** (nu - 1.0)) / (np.pi * (xi - xi0) * y**nu)
+            for j in (0, 1)
+        ))
+        return FieldResult(
+            xi=xi, y=y, eta=eta, expansion="deep",
+            u1=None, u2=None, du1_dxi=du1, du2_dxi=du2, s12=None, s22=None,
+            imag_residue=r_du,
+        )
+    raise ExpansionRangeError(
+        f"eta = {eta:.3f} falls between the near range (<= {NEAR_ETA_MAX}) "
+        f"and the deep range (>= {DEEP_ETA_MIN})"
+    )

@@ -28,12 +28,12 @@ from conftest import ACCEPTANCE_LINES, cached_case
 from gradedload import (
     MaterialConfig,
     RunConfig,
-    derive_params,
     evaluate_point,
     run_sweep,
     solve_case,
 )
 from gradedload.kernels import complex_gamma, kernel_g, mellin_m
+from gradedload.params import derive_params
 
 DELTA_REFS = {
     50: 0.9821 - 2.013e-4j,

@@ -12,14 +12,11 @@ from gradedload import (
     MaterialConfig,
     RunConfig,
     SingularPointError,
-    csv_text,
     evaluate_point,
-    format_report,
     run_case,
     run_sweep,
-    solve_case,
-    write_csv,
 )
+from gradedload.driver import csv_text, format_report, write_csv
 
 
 # ---------------------------------------------------------------- solve_case
@@ -119,8 +116,6 @@ def test_run_config_gates():
         RunConfig(sweep="speed", sweep_range=(0.1, 1.0, 0.1))
     with pytest.raises(ConfigError):
         RunConfig(points=())
-    with pytest.raises(ConfigError):
-        RunConfig(eta_max=2.0, eta_min=1.0)
 
 
 def test_sweep_values_inclusive():
@@ -129,6 +124,8 @@ def test_sweep_values_inclusive():
     )
     assert len(driver._sweep_values((0.1, 0.5, 0.05))) == 9
     assert driver._sweep_values((0.5, 0.1, 0.1)) == []
+    # a step past the endpoint is left out, not rounded back in
+    assert driver._sweep_values((0.5, 0.99, 0.5)) == [0.5]
 
 
 # ---------------------------------------------------------------- sweeps
@@ -169,6 +166,19 @@ def test_sweep_empty_range():
     header, rows = run_sweep(rc)
     assert header[0] == "sweep_value"
     assert rows == []
+
+
+def test_sweep_stays_inside_validated_range():
+    # the next grid value after the endpoint (nu = 1.0, V/c_s = 1.1) lies
+    # outside the (0, 1) gate that RunConfig checked
+    for sweep, sweep_range, values in (
+        ("nu", (0.5, 0.99, 0.5), ["0.5"]),
+        ("speed", (0.3, 0.9, 0.4), ["0.3", "0.7"]),
+    ):
+        rc = RunConfig(n=25, sweep=sweep, sweep_range=sweep_range)
+        header, rows = run_sweep(rc)
+        assert [row[0] for row in rows] == values
+        assert all(row[-1] == "" for row in rows)
 
 
 def test_sweep_error_column(monkeypatch):

@@ -1,7 +1,6 @@
 """Boundary functionals, load constants, expansion coefficients, and fields."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +11,13 @@ from gradedload import (
     ExpansionRangeError,
     MaterialConfig,
     SingularPointError,
+    evaluate_point,
+)
+from gradedload.fields import (
     boundary_phi,
     constants_c,
-    derivative_large_eta,
-    derive_params,
     determinant_delta,
-    displacement_derivative,
-    displacement_field,
     field_coeffs,
-    stress_field,
 )
 from gradedload.system import SIESolution, SolutionBlock
 
@@ -136,7 +133,6 @@ def test_coefficient_relations(case100):
         for j in (0, 1):
             ratio = co.d2[j] / co.d0[j]
             assert ratio == pytest.approx(-p.nu / (2.0 * betas[j]), rel=1e-12)
-            assert co.d3[j] == 0.0
             assert abs(co.d1[j]) <= 1e-12 * abs(co.d0[j])
             assert abs(co.e0[j]) <= 1e-12 * max(abs(co.e1[j]), 1.0)
 
@@ -165,11 +161,10 @@ def test_contour_shift_invariance(case100, case_factory):
 
 def test_displacement_power_law(case100):
     p = case100.params
-    co = case100.coefficients(1.0)
-    u1_a, u2_a = displacement_field(co, -1.0, 0.0, 0.0, p)
-    u1_b, u2_b = displacement_field(co, -2.0, 0.0, 0.0, p)
-    assert u1_b / u1_a == pytest.approx(2.0 ** (-p.nu), rel=1e-12)
-    assert u2_b / u2_a == pytest.approx(2.0 ** (-p.nu), rel=1e-12)
+    a = evaluate_point(case100, -1.0, 0.0)
+    b = evaluate_point(case100, -2.0, 0.0)
+    assert b.u1 / a.u1 == pytest.approx(2.0 ** (-p.nu), rel=1e-12)
+    assert b.u2 / a.u2 == pytest.approx(2.0 ** (-p.nu), rel=1e-12)
 
 
 def test_displacement_simplified_form(case100):
@@ -180,7 +175,8 @@ def test_displacement_simplified_form(case100):
     betas = (p.beta1, p.beta2)
     for y in (0.0, 0.3, 0.8):
         eta = y / 1.0
-        u = displacement_field(co, -1.0, 0.0, y, p)
+        res = evaluate_point(case100, -1.0, y)
+        u = (res.u1, res.u2)
         for j in (0, 1):
             ref = co.d0[j].real * (1.0 - p.nu * eta**2 / (2.0 * betas[j]))
             assert u[j] == pytest.approx(ref, rel=1e-10)
@@ -188,17 +184,15 @@ def test_displacement_simplified_form(case100):
 
 def test_derivative_matches_displacement_at_surface(case100):
     p = case100.params
-    co = case100.coefficients(1.0)
-    u1, u2 = displacement_field(co, -1.0, 0.0, 0.0, p)
-    du1, du2 = displacement_derivative(co, -1.0, 0.0, 0.0, p)
+    res = evaluate_point(case100, -1.0, 0.0)
     # at unit distance, y = 0: du/dxi = sgn(xi - xi0) * (-nu) * u = +nu u
-    assert du1 == pytest.approx(p.nu * u1, rel=1e-12)
-    assert du2 == pytest.approx(p.nu * u2, rel=1e-12)
+    assert res.du1_dxi == pytest.approx(p.nu * res.u1, rel=1e-12)
+    assert res.du2_dxi == pytest.approx(p.nu * res.u2, rel=1e-12)
 
 
 def test_stress_surface_zero(case100):
-    co = case100.coefficients(1.0)
-    assert stress_field(co, -1.0, 0.0, 0.0, case100.params) == (0.0, 0.0)
+    res = evaluate_point(case100, -1.0, 0.0)
+    assert (res.s12, res.s22) == (0.0, 0.0)
 
 
 def test_stress_vanishes_like_eta_power(case100):
@@ -207,9 +201,9 @@ def test_stress_vanishes_like_eta_power(case100):
     lam0 = p.cd2_cs2 - 2.0
     for y in (1e-6, 1e-4):
         eta = y / 1.0
-        s12, s22 = stress_field(co, -1.0, 0.0, y, p)
-        assert s12 == pytest.approx(eta**p.nu * (-p.nu) * co.d0[1].real, rel=1e-3)
-        assert s22 == pytest.approx(
+        res = evaluate_point(case100, -1.0, y)
+        assert res.s12 == pytest.approx(eta**p.nu * (-p.nu) * co.d0[1].real, rel=1e-3)
+        assert res.s22 == pytest.approx(
             eta**p.nu * (-lam0 * p.nu) * co.d0[0].real, rel=1e-3
         )
 
@@ -219,7 +213,8 @@ def test_deep_derivative_formula(case100):
     co = case100.coefficients(1.0)
     xi, y = -1.0, 3.0
     eta = y / abs(xi)
-    du = derivative_large_eta(co, xi, 0.0, y, p)
+    res = evaluate_point(case100, xi, y)
+    du = (res.du1_dxi, res.du2_dxi)
     for j in (0, 1):
         ref = (co.e0[j] + co.e1[j] * eta ** (p.nu - 1.0)) / (
             math.pi * (xi - 0.0) * y**p.nu
@@ -232,40 +227,31 @@ def test_deep_derivative_formula(case100):
 
 
 def test_deep_derivative_realness(case100):
-    from gradedload.fields import _derivative_large_complex
-
-    co = case100.coefficients(1.0)
-    d1c, d2c = _derivative_large_complex(co, -1.0, 0.0, 3.0, case100.params)
-    scale = max(abs(d1c), abs(d2c))
-    assert abs(d1c.imag) / scale <= 1e-4
-    assert abs(d2c.imag) / scale <= 1e-4
+    # imag_residue of a deep point is max |Im du_j/dxi| / max |du_j/dxi|
+    res = evaluate_point(case100, -1.0, 3.0)
+    assert res.expansion == "deep"
+    assert res.imag_residue <= 1e-4
 
 
 def test_expansion_range_gates(case50):
-    p = case50.params
-    co = case50.coefficients(1.0)
+    # both range ends belong to their expansion; the gap between them has none
+    assert evaluate_point(case50, -1.0, 1.0).expansion == "near"
+    assert evaluate_point(case50, -1.0, 2.0).expansion == "deep"
     with pytest.raises(ExpansionRangeError):
-        displacement_field(co, -1.0, 0.0, 1.5, p)
-    with pytest.raises(ExpansionRangeError):
-        displacement_derivative(co, -1.0, 0.0, 1.5, p)
-    with pytest.raises(ExpansionRangeError):
-        stress_field(co, -1.0, 0.0, 1.5, p)
-    with pytest.raises(ExpansionRangeError):
-        derivative_large_eta(co, -1.0, 0.0, 1.5, p)
+        evaluate_point(case50, -1.0, 1.5)
     with pytest.raises(SingularPointError):
-        displacement_field(co, 0.0, 0.0, 0.0, p)
+        evaluate_point(case50, 0.0, 0.0)
     with pytest.raises(ConfigError):
-        displacement_field(co, -1.0, 0.0, -0.1, p)
+        evaluate_point(case50, -1.0, -0.1)
 
 
 def test_fore_aft_asymmetry(case100):
     # a moving load sees different material response ahead of and behind
     # the contact point; the two kappa branches must therefore differ
-    p = case100.params
-    behind = case100.coefficients(1.0)
-    ahead = case100.coefficients(-1.0)
-    u_behind = displacement_field(behind, -1.0, 0.0, 0.0, p)
-    u_ahead = displacement_field(ahead, 1.0, 0.0, 0.0, p)
+    behind = evaluate_point(case100, -1.0, 0.0)
+    ahead = evaluate_point(case100, 1.0, 0.0)
+    u_behind = (behind.u1, behind.u2)
+    u_ahead = (ahead.u1, ahead.u2)
     for j in (0, 1):
         assert math.isfinite(u_behind[j]) and u_behind[j] > 0.0
         assert math.isfinite(u_ahead[j]) and u_ahead[j] > 0.0

@@ -15,17 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedload import (
-    MaterialConfig,
-    PoleError,
+from gradedload import MaterialConfig, PoleError
+from gradedload.kernels import (
+    _mellin_quad,
     coeff_b,
     complex_gamma,
-    derive_params,
     kernel_g,
     mellin_m,
     rhs_f,
 )
-from gradedload.kernels import _mellin_quad
+from gradedload.params import derive_params
 
 # frozen spot values (mpmath, 30 dps)
 B1_AT_1 = -0.08064049958557055  # nu = 0.3 material

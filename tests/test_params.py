@@ -16,9 +16,8 @@ from gradedload import (
     MaterialConfig,
     OscillationRegimeError,
     SubsonicViolation,
-    derive_params,
 )
-from gradedload.params import _oscillation_shift
+from gradedload.params import _oscillation_shift, derive_params
 
 # frozen: nu_P = 0.3, V/c_s = 0.2 (mpmath, 30 dps)
 BETA1 = 0.28901734104046243

@@ -7,25 +7,19 @@ import pytest
 import scipy.linalg as sla
 
 import gradedload.system as system
-from gradedload import (
-    ConfigError,
-    MaterialConfig,
-    SingularMatrixError,
-    assemble_rhs,
-    build_grid,
-    derive_params,
-    kernel_g,
-    mellin_m,
-    rhs_f,
-    solve_system,
-    step_weights,
-)
+from gradedload import ConfigError, MaterialConfig, SingularMatrixError
+from gradedload.kernels import kernel_g, mellin_m, rhs_f
+from gradedload.params import derive_params
 from gradedload.system import (
     BlockSystem,
+    assemble_rhs,
     block_solve,
     block_system,
+    build_grid,
     regular_block,
     singular_block,
+    solve_system,
+    step_weights,
 )
 
 
