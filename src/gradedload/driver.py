@@ -221,7 +221,9 @@ def format_report(report: CaseReport) -> str:
 
 def _sweep_values(sweep_range: tuple) -> list[float]:
     # Inclusive grid; tolerate float drift at the endpoint, but no whole step
-    # beyond the endpoint that RunConfig validated.
+    # beyond the endpoint that RunConfig validated.  A drifted endpoint keeps
+    # its bits unless it would leave the (0, 1) gate; then it is clamped back
+    # to the validated stop.
     start, stop, step = sweep_range
     values = []
     k = 0
@@ -229,7 +231,7 @@ def _sweep_values(sweep_range: tuple) -> list[float]:
         value = start + k * step
         if value > stop + 1e-9 * step:
             break
-        values.append(value)
+        values.append(stop if value >= 1.0 else value)
         k += 1
     return values
 

@@ -1,10 +1,12 @@
 """Boundary functionals, load constants, and the asymptotic field expansions.
 
 From a solved collocation system this module recovers the boundary values
-``Phi_{j +-}^{(m)}(nu - 1)``, the 2x2 determinants ``Delta_+-`` and the load
-constants ``C_{j +-}``, and finally the expansion coefficients that give the
-displacements, their tangential derivatives, and the stresses near the
-surface (small eta = y/|xi - xi0|) or at depth (large eta).  The fields at
+``Phi_{j +}^{(m)}(nu - 1)`` of the solved "+" variant, derives those of the
+"-" variant as ``Phi_- = J Phi_+ J`` with ``J = diag(1, -1)``, and takes
+the determinant ``Delta`` that both share, the load constants ``C_{j +-}``
+and finally the expansion coefficients that give the displacements, their
+tangential derivatives, and the stresses near the surface (small
+eta = y/|xi - xi0|) or at depth (large eta).  The fields at
 a point come from one function, :func:`evaluate_fields`, which the public
 entry point :func:`gradedload.driver.evaluate_point` calls.
 
@@ -36,7 +38,6 @@ __all__ = [
     "FieldCoefficients",
     "FieldResult",
     "boundary_phi",
-    "determinant_delta",
     "constants_c",
     "field_coeffs",
     "NEAR_ETA_MAX",
@@ -50,23 +51,23 @@ _RESIDUE_SANITY = 1e-2
 # eta = y/|xi - xi0| ranges of the near-surface and the deep expansion
 NEAR_ETA_MAX = 1.0
 DEEP_ETA_MIN = 2.0
-
-_SIGN_INDEX = {1: 0, -1: 1}
+# entries that J Phi J negates, J = diag(1, -1)
+_OFF_DIAGONAL = ~np.eye(2, dtype=bool)
 
 
 def boundary_phi(sol: SIESolution) -> np.ndarray:
-    """Boundary values ``Phi_{j +-}^{(m)}`` at the expansion point nu - 1.
+    """Boundary values ``Phi_j^{(m)}`` of the "+" variant at nu - 1.
 
     Quadrature of the solved densities against the load kernel; the
     component-j functional integrates the opposite-component densities.
     With an all-zero solution only the forcing term ``-delta_jm /
-    cos(pi nu / 2)`` survives, which pins the normalization.
+    cos(pi nu / 2)`` survives, which pins the normalization.  The "-"
+    variant's values are ``J Phi J`` (see :func:`constants_c`).
 
     Returns
     -------
-    ndarray of complex, shape (2, 2, 2)
-        Indexed by (j - 1, m - 1, sign index), sign index 0 for "+", 1
-        for "-".
+    ndarray of complex, shape (2, 2)
+        Indexed by (j - 1, m - 1).
     """
     p = sol.params
     d = sol.disc
@@ -76,7 +77,7 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
     den_plus = xn * phase + 1.0 / phase
     den_minus = xn / phase + phase
     forcing = 1.0 / math.cos(np.pi * nu / 2.0)
-    phi = np.zeros((2, 2, 2), dtype=complex)
+    phi = np.zeros((2, 2), dtype=complex)
     for j in (1, 2):
         # family weights of the opposite component: delta_{3-j}^+ pairs
         # with w_minus for j = 1 (exponent identity) and w_plus for j = 2
@@ -84,43 +85,31 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
             w_plus_fam, w_minus_fam = d.w_minus, d.w_plus
         else:
             w_plus_fam, w_minus_fam = d.w_plus, d.w_minus
-        for sign in (1, -1):
-            for m in (1, 2):
-                block = sol.blocks[(sign, m)]
-                fp = block.f2_plus if j == 1 else block.f1_plus
-                fm = block.f2_minus if j == 1 else block.f1_minus
-                total = np.sum(fp * w_plus_fam / den_plus + fm * w_minus_fam / den_minus)
-                value = sign * 0.5j / np.pi * total
-                if j == m:
-                    value -= forcing
-                phi[j - 1, m - 1, _SIGN_INDEX[sign]] = value
+        for m in (1, 2):
+            block = sol.blocks[m]
+            fp = block.f2_plus if j == 1 else block.f1_plus
+            fm = block.f2_minus if j == 1 else block.f1_minus
+            total = np.sum(fp * w_plus_fam / den_plus + fm * w_minus_fam / den_minus)
+            value = 0.5j / np.pi * total
+            if j == m:
+                value -= forcing
+            phi[j - 1, m - 1] = value
     return phi
-
-
-def determinant_delta(phi: np.ndarray) -> tuple[complex, complex]:
-    """Determinants ``Delta_+- = Phi_1^(1) Phi_2^(2) - Phi_1^(2) Phi_2^(1)``.
-
-    Returns
-    -------
-    (delta_plus, delta_minus)
-    """
-    out = []
-    for k in (0, 1):
-        out.append(
-            phi[0, 0, k] * phi[1, 1, k] - phi[0, 1, k] * phi[1, 0, k]
-        )
-    return complex(out[0]), complex(out[1])
 
 
 @dataclass(frozen=True)
 class BoundaryConstants:
-    """Boundary functionals with the load constants solved from them.
+    """Boundary functionals of both sign variants with their load constants.
 
-    ``c_plus``/``c_minus`` hold (C_1, C_2) for the two sign variants; each
-    pair solves the 2x2 system  Phi_j^(1) C_1 + Phi_j^(2) C_2 = gamma_j H_j.
+    ``phi`` is the solved "+" matrix ``Phi_+`` and ``phi_minus`` the derived
+    ``Phi_- = J Phi_+ J``, both indexed by (j - 1, m - 1).  Their
+    determinants are equal, ``delta_minus == delta_plus``.
+    ``c_plus``/``c_minus`` hold (C_1, C_2) for the two variants; each pair
+    solves the 2x2 system  Phi_j^(1) C_1 + Phi_j^(2) C_2 = gamma_j H_j.
     """
 
     phi: np.ndarray
+    phi_minus: np.ndarray
     delta_plus: complex
     delta_minus: complex
     c_plus: np.ndarray
@@ -132,30 +121,38 @@ def constants_c(
 ) -> BoundaryConstants:
     """Solve for the load constants ``C_{j +-}`` by Cramer's rule.
 
+    ``phi`` is the "+" matrix from :func:`boundary_phi`.  The "-" matrix
+    ``J phi J`` negates its off-diagonal entries, which is exact, and has
+    the same determinant ``Delta = Phi_1^(1) Phi_2^(2) - Phi_1^(2) Phi_2^(1)``:
+    the two negated factors of the second product cancel exactly.
+
     Raises
     ------
     DegenerateDeterminantError
-        If either determinant has modulus below 1e-8.
+        If the determinant has modulus below 1e-8.
     """
-    delta_plus, delta_minus = determinant_delta(phi)
-    for name, value in (("+", delta_plus), ("-", delta_minus)):
-        if abs(value) < _DELTA_FLOOR:
-            raise DegenerateDeterminantError(
-                f"|Delta_{name}| = {abs(value):.3e} below floor {_DELTA_FLOOR}"
-            )
+    delta = complex(phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0])
+    if abs(delta) < _DELTA_FLOOR:
+        raise DegenerateDeterminantError(
+            f"|Delta_+| = {abs(delta):.3e} below floor {_DELTA_FLOOR}"
+        )
+    phi_minus = np.where(_OFF_DIAGONAL, -phi, phi)
     g1h1 = p.gamma1 * config.h1
     g2h2 = p.gamma2 * config.h2
-    cs = []
-    for k, delta in ((0, delta_plus), (1, delta_minus)):
-        c1 = (g1h1 * phi[1, 1, k] - g2h2 * phi[0, 1, k]) / delta
-        c2 = (g2h2 * phi[0, 0, k] - g1h1 * phi[1, 0, k]) / delta
-        cs.append(np.array([c1, c2]))
+
+    def cramer(f: np.ndarray) -> np.ndarray:
+        return np.array([
+            (g1h1 * f[1, 1] - g2h2 * f[0, 1]) / delta,
+            (g2h2 * f[0, 0] - g1h1 * f[1, 0]) / delta,
+        ])
+
     return BoundaryConstants(
         phi=phi,
-        delta_plus=delta_plus,
-        delta_minus=delta_minus,
-        c_plus=cs[0],
-        c_minus=cs[1],
+        phi_minus=phi_minus,
+        delta_plus=delta,
+        delta_minus=delta,
+        c_plus=cramer(phi),
+        c_minus=cramer(phi_minus),
     )
 
 
@@ -186,7 +183,7 @@ def field_coeffs(
         raise ConfigError(f"kappa must be +-1, got {kappa}")
     kappa = float(kappa)
     nu = p.nu
-    phi = bc.phi
+    phi_plus, phi_minus = bc.phi, bc.phi_minus
     c_plus, c_minus = bc.c_plus, bc.c_minus
     turn = np.exp(1j * np.pi * kappa * nu / 2.0)
     lead = math.gamma(nu / 2.0) * 2.0 ** (nu - 1.0) / (
@@ -202,10 +199,10 @@ def field_coeffs(
     bracket = np.zeros(2, dtype=complex)
     for j in (1, 2):
         bracket[j - 1] = (
-            c_plus[0] * phi[j - 1, 0, 0]
-            + c_plus[1] * phi[j - 1, 1, 0]
-            - c_minus[0] * phi[j - 1, 0, 1]
-            - c_minus[1] * phi[j - 1, 1, 1]
+            c_plus[0] * phi_plus[j - 1, 0]
+            + c_plus[1] * phi_plus[j - 1, 1]
+            - c_minus[0] * phi_minus[j - 1, 0]
+            - c_minus[1] * phi_minus[j - 1, 1]
         )
     for j in (1, 2):
         beta_j = p.beta1 if j == 1 else p.beta2

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _scipy_gamma
 
 from .errors import PoleError
@@ -124,26 +123,6 @@ def rhs_f(x, sigma: float):
     if np.ndim(x) == 0:
         return complex(out)
     return out
-
-
-def _mellin_quad(x: float, delta: float) -> complex:
-    """Adaptive quadrature route: integral_0^1 y^{i delta}/(y + x) dy.
-
-    The substitution y = e^u turns the endpoint oscillation into a plain
-    exponentially damped oscillation on (-inf, 0].
-    """
-    def re_part(u: float) -> float:
-        eu = math.exp(u)
-        return eu * math.cos(delta * u) / (eu + x)
-
-    def im_part(u: float) -> float:
-        eu = math.exp(u)
-        return eu * math.sin(delta * u) / (eu + x)
-
-    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
-    re = quad(re_part, -np.inf, 0.0, **opts)[0]
-    im = quad(im_part, -np.inf, 0.0, **opts)[0]
-    return re + 1j * im
 
 
 def mellin_m(x, delta: float):

@@ -3,23 +3,27 @@
 The four coupled integral equations on (0, 1) are discretized on a uniform
 grid ``x_k = k/N`` with piecewise-constant densities carrying the oscillation
 exponents ``x**(i delta)``.  Collocating at the right endpoints of the cells
-gives a ``4N x 4N`` complex block system for each sign variant ("+" and
-"-").  Block layout for the variant s = +-1 (rows are equations, columns
+gives a ``4N x 4N`` complex block system (rows are equations, columns
 unknown densities):
 
-    [ s D1   0     S+    R-  ] [ F1^-]   [ r1 ]
-    [ 0      s D2  R+    S-  ] [ F1^+] = [ r2 ]
-    [ S-     R+    s D3  0   ] [ F2^-]   [ r3 ]
-    [ R-     S+    0     s D4] [ F2^+]   [ r4 ]
+    [ D1   0    S+   R- ] [ F1^-]   [ r1 ]
+    [ 0    D2   R+   S- ] [ F1^+] = [ r2 ]
+    [ S-   R+   D3   0  ] [ F2^-]   [ r3 ]
+    [ R-   S+   0    D4 ] [ F2^+]   [ r4 ]
 
 where S(delta) carries the fixed-singularity kernel in its first column and
 R(delta) is the regular complementary block; superscripts -/+ mark the two
-exponent families.  In 2x2 form ``A_s = [[s D_a, X], [Y, s D_b]]`` with
-diagonal ``D_a``, ``D_b``.  The sign enters only the diagonal blocks and the
-forcing, so ``A_- = -J A_+ J`` with ``J = diag(I, -I)`` and the "-"
-solutions follow exactly from the "+" ones.  The "+" system is solved by
-eliminating ``D_a`` and factorizing the ``2N x 2N`` Schur complement once
-for both load components; the dense ``4N x 4N`` matrix is never formed.
+exponent families.  In 2x2 form ``A = [[D_a, X], [Y, D_b]]`` with diagonal
+``D_a``, ``D_b``.  This is the "+" sign variant of the formulation and the
+only one solved.  The "-" variant negates the diagonal blocks and the
+forcing, ``A_- = -J A J`` and ``r_- = -r`` with ``J = diag(I, -I)``.
+Component m = 1 forces only the first half of the rows (``J r = r``) and
+m = 2 only the second (``J r = -r``), so the "-" densities are ``J`` times
+the "+" ones for m = 1 and ``-J`` times them for m = 2; the "-" boundary
+values follow from the "+" ones in :func:`gradedload.fields.constants_c`.
+The system is solved by eliminating ``D_a`` and factorizing the
+``2N x 2N`` Schur complement once for both load components; the dense
+``4N x 4N`` matrix is never formed.
 """
 
 from __future__ import annotations
@@ -133,12 +137,11 @@ def regular_block(d: Discretization, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """The collocation matrix ``A_s = [[s D_a, X], [Y, s D_b]]`` in blocks.
+    """The collocation matrix ``A = [[D_a, X], [Y, D_b]]`` in blocks.
 
-    ``diag_a`` = (D1, D2) and ``diag_b`` = (D3, D4) hold the diagonals of
-    the "+" variant (s = +1); ``x`` = [[S+, R-], [R+, S-]] and
-    ``y`` = [[S-, R+], [R-, S+]] are the coupling blocks, which the sign
-    does not touch.  The dense matrix itself is never formed.
+    ``diag_a`` = (D1, D2) and ``diag_b`` = (D3, D4) hold the diagonals;
+    ``x`` = [[S+, R-], [R+, S-]] and ``y`` = [[S-, R+], [R-, S+]] are the
+    coupling blocks.  The dense matrix itself is never formed.
     """
 
     diag_a: np.ndarray
@@ -146,13 +149,11 @@ class BlockSystem:
     x: np.ndarray
     y: np.ndarray
 
-    def apply(self, sign: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Product ``A_sign @ [u; v]`` for column stacks u and v."""
-        if sign not in (1, -1):
-            raise ConfigError(f"sign variant must be +1 or -1, got {sign}")
+    def apply(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Product ``A @ [u; v]`` for column stacks u and v."""
         return (
-            sign * self.diag_a[:, None] * u + self.x @ v,
-            self.y @ u + sign * self.diag_b[:, None] * v,
+            self.diag_a[:, None] * u + self.x @ v,
+            self.y @ u + self.diag_b[:, None] * v,
         )
 
 
@@ -192,23 +193,21 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
     )
 
 
-def assemble_rhs(d: Discretization, p: DerivedParams, sign: int, m: int) -> np.ndarray:
-    """Forcing vector for load component m in {1, 2} and one sign variant.
+def assemble_rhs(d: Discretization, p: DerivedParams, m: int) -> np.ndarray:
+    """Forcing vector for load component m in {1, 2}.
 
     Only the two equation groups belonging to component m are forced:
-    rows of the first family get ``-sign * f(x_k)`` and rows of the second
-    family ``+sign * conj(f(x_k))``.
+    rows of the first family get ``-f(x_k)`` and rows of the second family
+    ``conj(f(x_k))``.
     """
-    if sign not in (1, -1):
-        raise ConfigError(f"sign variant must be +1 or -1, got {sign}")
     if m not in (1, 2):
         raise ConfigError(f"load component m must be 1 or 2, got {m}")
     n = d.n
     f = rhs_f(d.nodes[1:], p.sigma)
     rhs = np.zeros(4 * n, dtype=complex)
     offset = 0 if m == 1 else 2 * n
-    rhs[offset:offset + n] = -sign * f
-    rhs[offset + n:offset + 2 * n] = sign * np.conj(f)
+    rhs[offset:offset + n] = -f
+    rhs[offset + n:offset + 2 * n] = np.conj(f)
     return rhs
 
 
@@ -228,7 +227,7 @@ def _require_divisors(block: str, what: str, values: np.ndarray) -> None:
 def block_solve(
     bs: BlockSystem, rhs_a: np.ndarray, rhs_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the "+" system ``A_+ [u; v] = [rhs_a; rhs_b]`` by elimination.
+    """Solve ``A [u; v] = [rhs_a; rhs_b]`` by elimination.
 
     Eliminates the diagonal ``D_a``, factorizes the Schur complement
     ``S = D_b - Y D_a^-1 X`` once (dense LU with partial pivoting), and
@@ -257,7 +256,7 @@ def block_solve(
         return (ra - bs.x @ v) / da[:, None], v
 
     u, v = eliminate(rhs_a, rhs_b)
-    au, av = bs.apply(1, u, v)
+    au, av = bs.apply(u, v)
     du, dv = eliminate(rhs_a - au, rhs_b - av)
     u = u + du
     v = v + dv
@@ -282,11 +281,13 @@ class SolutionBlock:
 
 @dataclass(frozen=True)
 class SIESolution:
-    """Solutions of both sign variants for both load components.
+    """Solution of the collocation system for both load components.
 
-    ``blocks`` maps (sign, m) with sign in {+1, -1} and m in {1, 2} to a
-    :class:`SolutionBlock`; ``residuals`` holds the relative infinity-norm
-    residual of each solve.
+    ``blocks`` maps the load component m in {1, 2} to a
+    :class:`SolutionBlock` of the "+" variant; ``residuals`` maps m to the
+    relative infinity-norm residual of its solve.  The "-" variant is not
+    stored: its densities are ``+-J`` times these (see the module
+    docstring), with equal residuals.
     """
 
     params: DerivedParams
@@ -302,13 +303,8 @@ def solve_system(
 ) -> SIESolution:
     """Assemble and solve the collocation system end to end.
 
-    Only the "+" variant is solved, for both load components at once (see
-    :func:`block_solve`).  The "-" variant follows exactly: with
-    ``J = diag(I, -I)``, ``A_- = -J A_+ J`` and ``r_- = -r_+``, while
-    component m = 1 forces only the first half of the rows (``J r = r``)
-    and m = 2 only the second (``J r = -r``).  Hence the "-" solution is
-    ``[u, -v]`` for m = 1 and ``[-u, v]`` for m = 2.  Each residual is
-    measured against its own variant's system.
+    Both load components are solved at once (see :func:`block_solve`), and
+    each residual is measured against the system.
 
     Returns
     -------
@@ -317,27 +313,20 @@ def solve_system(
     p = derive_params(config, sigma_fraction)
     d = build_grid(n, p)
     bs = block_system(d, p)
-    rhs = {
-        sign: np.stack([assemble_rhs(d, p, sign, m) for m in (1, 2)], axis=1)
-        for sign in (1, -1)
+    rhs = np.stack([assemble_rhs(d, p, m) for m in (1, 2)], axis=1)
+    u, v = block_solve(bs, rhs[:2 * n], rhs[2 * n:])
+    au, av = bs.apply(u, v)
+    res = np.maximum(
+        np.abs(au - rhs[:2 * n]).max(axis=0), np.abs(av - rhs[2 * n:]).max(axis=0)
+    ) / np.abs(rhs).max(axis=0)
+    blocks = {
+        m: SolutionBlock(
+            f1_minus=u[:n, m - 1],
+            f1_plus=u[n:, m - 1],
+            f2_minus=v[:n, m - 1],
+            f2_plus=v[n:, m - 1],
+        )
+        for m in (1, 2)
     }
-    u, v = block_solve(bs, rhs[1][:2 * n], rhs[1][2 * n:])
-    flip = np.array([1.0, -1.0])  # per load component m = 1, 2
-    densities = {1: (u, v), -1: (u * flip, -v * flip)}
-    blocks: dict = {}
-    residuals: dict = {}
-    for sign, (us, vs) in densities.items():
-        au, av = bs.apply(sign, us, vs)
-        r = rhs[sign]
-        res = np.maximum(
-            np.abs(au - r[:2 * n]).max(axis=0), np.abs(av - r[2 * n:]).max(axis=0)
-        ) / np.abs(r).max(axis=0)
-        for m in (1, 2):
-            blocks[(sign, m)] = SolutionBlock(
-                f1_minus=us[:n, m - 1],
-                f1_plus=us[n:, m - 1],
-                f2_minus=vs[:n, m - 1],
-                f2_plus=vs[n:, m - 1],
-            )
-            residuals[(sign, m)] = float(res[m - 1])
+    residuals = {m: float(res[m - 1]) for m in (1, 2)}
     return SIESolution(params=p, disc=d, blocks=blocks, residuals=residuals)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from gradedload import MaterialConfig, solve_case
+from gradedload.kernels import kernel_g
+from gradedload.system import regular_block, singular_block
 
 _CACHE: dict = {}
 
@@ -52,3 +55,37 @@ def case100():
 @pytest.fixture(scope="session")
 def params_default(case100):
     return case100.params
+
+
+def dense_matrix(d, p, sign):
+    """Dense 4N x 4N matrix of one sign variant, from the documented layout.
+
+    Independent of ``block_system``: the diagonals come straight from
+    kernel_g and the coupling blocks from the public block builders.  The
+    sign multiplies the four diagonal blocks.
+    """
+    n = d.n
+    log_x = np.log(d.nodes[1:])
+    arg_minus = p.sigma - 1j / np.pi * log_x
+    arg_plus = p.sigma + 1j / np.pi * log_x
+    osc_minus = np.exp(1j * p.delta1_minus * log_x)
+    osc_plus = np.exp(1j * p.delta1_plus * log_x)
+    scale = sign * 2j * np.pi
+    diags = (
+        scale * osc_minus / kernel_g(2, arg_minus, p),
+        scale * osc_plus / kernel_g(2, arg_plus, p),
+        scale * osc_plus / kernel_g(1, arg_minus, p),
+        scale * osc_minus / kernel_g(1, arg_plus, p),
+    )
+    s_plus = singular_block(d, d.w_plus, d.m_plus)
+    s_minus = singular_block(d, d.w_minus, d.m_minus)
+    r_plus = regular_block(d, d.w_plus)
+    r_minus = regular_block(d, d.w_minus)
+    zero = np.zeros((n, n), dtype=complex)
+    d1, d2, d3, d4 = (np.diag(v) for v in diags)
+    return np.block([
+        [d1, zero, s_plus, r_minus],
+        [zero, d2, r_plus, s_minus],
+        [s_minus, r_plus, d3, zero],
+        [r_minus, s_plus, zero, d4],
+    ])

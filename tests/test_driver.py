@@ -126,6 +126,10 @@ def test_sweep_values_inclusive():
     assert driver._sweep_values((0.5, 0.1, 0.1)) == []
     # a step past the endpoint is left out, not rounded back in
     assert driver._sweep_values((0.5, 0.99, 0.5)) == [0.5]
+    # a drifted endpoint keeps its bits inside the gate and is clamped to
+    # the validated stop where it would reach 1
+    assert driver._sweep_values((0.1, 0.3, 0.1))[-1] == 0.1 + 2 * 0.1
+    assert driver._sweep_values((0.5, 1 - 1e-11, 0.5)) == [0.5, 1 - 1e-11]
 
 
 # ---------------------------------------------------------------- sweeps
@@ -170,15 +174,20 @@ def test_sweep_empty_range():
 
 def test_sweep_stays_inside_validated_range():
     # the next grid value after the endpoint (nu = 1.0, V/c_s = 1.1) lies
-    # outside the (0, 1) gate that RunConfig checked
-    for sweep, sweep_range, values in (
-        ("nu", (0.5, 0.99, 0.5), ["0.5"]),
-        ("speed", (0.3, 0.9, 0.4), ["0.3", "0.7"]),
+    # outside the (0, 1) gate that RunConfig checked; so does the endpoint
+    # 1 - 1e-11 once float drift carries 0.5 + 0.5 to 1.0.  A config error
+    # would abort the sweep; the error column takes only numerical failures,
+    # here the realness gate at V/c_s = 1 - 1e-11 and n = 25.
+    for sweep, sweep_range, values, errors in (
+        ("nu", (0.5, 0.99, 0.5), ["0.5"], [""]),
+        ("speed", (0.3, 0.9, 0.4), ["0.3", "0.7"], ["", ""]),
+        ("nu", (0.5, 1 - 1e-11, 0.5), ["0.5", "1"], ["", ""]),
+        ("speed", (0.5, 1 - 1e-11, 0.5), ["0.5", "1"], ["", "RealnessError"]),
     ):
         rc = RunConfig(n=25, sweep=sweep, sweep_range=sweep_range)
         header, rows = run_sweep(rc)
         assert [row[0] for row in rows] == values
-        assert all(row[-1] == "" for row in rows)
+        assert [row[-1] for row in rows] == errors
 
 
 def test_sweep_error_column(monkeypatch):

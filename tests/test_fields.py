@@ -13,12 +13,7 @@ from gradedload import (
     SingularPointError,
     evaluate_point,
 )
-from gradedload.fields import (
-    boundary_phi,
-    constants_c,
-    determinant_delta,
-    field_coeffs,
-)
+from gradedload.fields import boundary_phi, constants_c, field_coeffs
 from gradedload.system import SIESolution, SolutionBlock
 
 # regression values from this implementation (cross-checked against the
@@ -48,15 +43,17 @@ def test_zero_solution_forcing_only(case25):
     forcing = -1.0 / math.cos(math.pi * nu / 2.0)
     for j in (0, 1):
         for m in (0, 1):
-            for k in (0, 1):
-                expected = forcing if j == m else 0.0
-                assert phi[j, m, k] == expected
+            expected = forcing if j == m else 0.0
+            assert phi[j, m] == expected
 
 
 def test_phi_shape(case50):
     phi = boundary_phi(case50.solution)
-    assert phi.shape == (2, 2, 2)
+    assert phi.shape == (2, 2)
     assert phi.dtype == complex
+    # the "-" matrix is J phi J, J = diag(1, -1)
+    j = np.array([1.0, -1.0])
+    assert np.array_equal(case50.constants.phi_minus, j[:, None] * phi * j[None, :])
 
 
 def test_determinant_regression(case50, case100):
@@ -66,18 +63,19 @@ def test_determinant_regression(case50, case100):
 
 
 def test_determinant_variants_agree(case25, case50, case100):
+    # constants_c reuses Delta_+ for the "-" variant; the determinant of the
+    # derived J Phi J matches it exactly, the two sign flips cancelling
     for case in (case25, case50, case100):
         bc = case.constants
-        assert abs(bc.delta_plus - bc.delta_minus) <= 1e-12 * abs(bc.delta_plus)
+        pm = bc.phi_minus
+        assert complex(pm[0, 0] * pm[1, 1] - pm[0, 1] * pm[1, 0]) == bc.delta_minus
+        assert bc.delta_minus == bc.delta_plus
 
 
 def test_degenerate_determinant_guard(params_default):
-    phi = np.zeros((2, 2, 2), dtype=complex)
-    phi[0, 0, :] = 1e-5
-    phi[1, 1, :] = 1e-5
-    dp, dm = determinant_delta(phi)
-    assert abs(dp) == pytest.approx(1e-10, rel=1e-9)
-    with pytest.raises(DegenerateDeterminantError):
+    # Delta = 1e-5 * 1e-5 = 1e-10, below the 1e-8 floor
+    phi = np.diag([1e-5, 1e-5]).astype(complex)
+    with pytest.raises(DegenerateDeterminantError, match=r"\|Delta_\+\| = 1\.000e-10"):
         constants_c(phi, MaterialConfig(), params_default)
 
 

@@ -14,16 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from gradedload import MaterialConfig, PoleError
-from gradedload.kernels import (
-    _mellin_quad,
-    coeff_b,
-    complex_gamma,
-    kernel_g,
-    mellin_m,
-    rhs_f,
-)
+from gradedload.kernels import coeff_b, complex_gamma, kernel_g, mellin_m, rhs_f
 from gradedload.params import derive_params
 
 # frozen spot values (mpmath, 30 dps)
@@ -207,6 +201,26 @@ def test_rhs_f_array():
 
 
 # ---------------------------------------------------------------- M
+
+
+def _mellin_quad(x: float, delta: float) -> complex:
+    """Adaptive quadrature route: integral_0^1 y^{i delta}/(y + x) dy.
+
+    The substitution y = e^u turns the endpoint oscillation into a plain
+    exponentially damped oscillation on (-inf, 0].
+    """
+    def re_part(u: float) -> float:
+        eu = math.exp(u)
+        return eu * math.cos(delta * u) / (eu + x)
+
+    def im_part(u: float) -> float:
+        eu = math.exp(u)
+        return eu * math.sin(delta * u) / (eu + x)
+
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+    re = quad(re_part, -np.inf, 0.0, **opts)[0]
+    im = quad(im_part, -np.inf, 0.0, **opts)[0]
+    return re + 1j * im
 
 
 def test_mellin_frozen_spots():

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 import gradedload.system as system
+from conftest import dense_matrix
 from gradedload import ConfigError, MaterialConfig, SingularMatrixError
 from gradedload.kernels import kernel_g, mellin_m, rhs_f
 from gradedload.params import derive_params
@@ -16,8 +17,6 @@ from gradedload.system import (
     block_solve,
     block_system,
     build_grid,
-    regular_block,
-    singular_block,
     solve_system,
     step_weights,
 )
@@ -69,39 +68,6 @@ def test_weights_telescope(p01):
 # ---------------------------------------------------------------- matrix
 
 
-def _dense_matrix(d, p, sign):
-    """Dense 4N x 4N matrix of one sign variant, from the documented layout.
-
-    Independent of ``block_system``: the diagonals come straight from
-    kernel_g and the coupling blocks from the public block builders.
-    """
-    n = d.n
-    log_x = np.log(d.nodes[1:])
-    arg_minus = p.sigma - 1j / np.pi * log_x
-    arg_plus = p.sigma + 1j / np.pi * log_x
-    osc_minus = np.exp(1j * p.delta1_minus * log_x)
-    osc_plus = np.exp(1j * p.delta1_plus * log_x)
-    scale = sign * 2j * np.pi
-    diags = (
-        scale * osc_minus / kernel_g(2, arg_minus, p),
-        scale * osc_plus / kernel_g(2, arg_plus, p),
-        scale * osc_plus / kernel_g(1, arg_minus, p),
-        scale * osc_minus / kernel_g(1, arg_plus, p),
-    )
-    s_plus = singular_block(d, d.w_plus, d.m_plus)
-    s_minus = singular_block(d, d.w_minus, d.m_minus)
-    r_plus = regular_block(d, d.w_plus)
-    r_minus = regular_block(d, d.w_minus)
-    zero = np.zeros((n, n), dtype=complex)
-    d1, d2, d3, d4 = (np.diag(v) for v in diags)
-    return np.block([
-        [d1, zero, s_plus, r_minus],
-        [zero, d2, r_plus, s_minus],
-        [s_minus, r_plus, d3, zero],
-        [r_minus, s_plus, zero, d4],
-    ])
-
-
 def _dense_blocks(bs):
     n = len(bs.diag_a) // 2
     a = np.block([[np.diag(bs.diag_a), bs.x], [bs.y, np.diag(bs.diag_b)]])
@@ -126,36 +92,27 @@ def test_matrix_block_structure(disc16, p01):
     assert np.array_equal(blocks[(1, 2)], blocks[(2, 1)])
     assert np.array_equal(blocks[(1, 3)], blocks[(2, 0)])
     # and they sit where the documented layout puts them
-    dense = _dense_matrix(disc16, p01, 1)
+    dense = dense_matrix(disc16, p01, 1)
     for (bi, bj), block in blocks.items():
         expected = dense[bi * n:(bi + 1) * n, bj * n:(bj + 1) * n]
         assert np.allclose(block, expected, rtol=1e-14, atol=0.0)
 
 
 def test_matrix_sign_flip(disc16, p01):
-    # the blockwise product of each variant matches its dense matrix, and
-    # flips with J = diag(I, -I) as A_- = -J A_+ J
+    # the blockwise product matches the dense "+" matrix, and the dense "-"
+    # matrix flips it with J = diag(I, -I) as A_- = -J A_+ J
     n = disc16.n
-    a_plus = _dense_matrix(disc16, p01, 1)
-    a_minus = _dense_matrix(disc16, p01, -1)
+    a_plus = dense_matrix(disc16, p01, 1)
+    a_minus = dense_matrix(disc16, p01, -1)
     bs = block_system(disc16, p01)
     rng = np.random.default_rng(3)
     u = rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2))
     v = rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2))
-    for sign, dense in ((1, a_plus), (-1, a_minus)):
-        au, av = bs.apply(sign, u, v)
-        ref = dense @ np.vstack([u, v])
-        assert np.allclose(np.vstack([au, av]), ref, rtol=1e-13, atol=1e-13)
-    pu, pv = bs.apply(1, u, -v)
-    mu, mv = bs.apply(-1, u, v)
-    assert np.array_equal(mu, -pu) and np.array_equal(mv, pv)
-
-
-def test_matrix_bad_sign(disc16, p01):
-    bs = block_system(disc16, p01)
-    u = np.zeros((2 * disc16.n, 1), dtype=complex)
-    with pytest.raises(ConfigError):
-        bs.apply(0, u, u)
+    au, av = bs.apply(u, v)
+    ref = a_plus @ np.vstack([u, v])
+    assert np.allclose(np.vstack([au, av]), ref, rtol=1e-13, atol=1e-13)
+    j = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
+    assert np.array_equal(a_minus, -(j[:, None] * a_plus * j[None, :]))
 
 
 def test_exponent_pairing_enforced(disc16, p01):
@@ -206,28 +163,20 @@ def test_singular_block_row_sums(disc16, p01):
 def test_rhs_structure(disc16, p01):
     n = disc16.n
     f = rhs_f(disc16.nodes[1:], p01.sigma)
-    r = assemble_rhs(disc16, p01, 1, 1)
+    r = assemble_rhs(disc16, p01, 1)
     assert np.array_equal(r[0:n], -f)
     assert np.array_equal(r[n:2 * n], np.conj(-r[0:n]))
     assert np.all(r[2 * n:] == 0.0)
-    r2 = assemble_rhs(disc16, p01, 1, 2)
+    r2 = assemble_rhs(disc16, p01, 2)
     assert np.all(r2[0:2 * n] == 0.0)
     assert np.array_equal(r2[2 * n:3 * n], -f)
     assert np.array_equal(r2[3 * n:4 * n], np.conj(f))
 
 
-def test_rhs_sign_flip(disc16, p01):
-    for m in (1, 2):
-        r_plus = assemble_rhs(disc16, p01, 1, m)
-        r_minus = assemble_rhs(disc16, p01, -1, m)
-        assert np.array_equal(r_minus, -r_plus)
-
-
 def test_rhs_gates(disc16, p01):
-    with pytest.raises(ConfigError):
-        assemble_rhs(disc16, p01, 2, 1)
-    with pytest.raises(ConfigError):
-        assemble_rhs(disc16, p01, 1, 3)
+    for m in (0, 3):
+        with pytest.raises(ConfigError):
+            assemble_rhs(disc16, p01, m)
 
 
 # ---------------------------------------------------------------- solve
@@ -294,49 +243,35 @@ def test_singular_kernel_node_raises(monkeypatch):
 
 def test_dense_oracle_both_variants():
     # both sign variants solved densely with scipy, independent of the
-    # block elimination and of the derived "-" variant
+    # block elimination: the stored "+" blocks solve A_+, and J maps them
+    # onto the solution of A_- (J for m = 1, -J for m = 2)
     for n in (16, 50):
         sol = solve_system(MaterialConfig(), n=n)
         d, p = sol.disc, sol.params
-        dense = {sign: _dense_matrix(d, p, sign) for sign in (1, -1)}
         j = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
-        assert np.array_equal(dense[-1], -(j[:, None] * dense[1] * j[None, :]))
-        for sign, a in dense.items():
-            for m in (1, 2):
-                ref = sla.solve(a, assemble_rhs(d, p, sign, m))
-                block = sol.blocks[(sign, m)]
+        for sign in (1, -1):
+            a = dense_matrix(d, p, sign)
+            for m, flip in ((1, 1.0), (2, -1.0)):
+                # the "-" variant negates the forcing as well
+                ref = sla.solve(a, sign * assemble_rhs(d, p, m))
+                block = sol.blocks[m]
                 got = np.concatenate(
                     [block.f1_minus, block.f1_plus, block.f2_minus, block.f2_plus]
                 )
+                if sign == -1:
+                    got = flip * j * got
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_solve_system_residuals(case50):
     sol = case50.solution
-    assert set(sol.residuals) == {(1, 1), (1, 2), (-1, 1), (-1, 2)}
+    assert set(sol.residuals) == {1, 2}
+    assert set(sol.blocks) == {1, 2}
     for value in sol.residuals.values():
         assert value <= 1e-10
-    block = sol.blocks[(1, 1)]
+    block = sol.blocks[1]
     assert len(block.f1_minus) == 50
     assert len(block.f2_plus) == 50
-
-
-def test_sign_system_identities(case25):
-    # the two sign variants carry the same densities up to fixed signs
-    sol = case25.solution
-    for m, s1, s2 in ((1, 1.0, -1.0), (2, -1.0, 1.0)):
-        bp = sol.blocks[(1, m)]
-        bm = sol.blocks[(-1, m)]
-        fmax = max(
-            np.abs(v).max()
-            for v in (bp.f1_minus, bp.f1_plus, bp.f2_minus, bp.f2_plus)
-        )
-        for name in ("f1_minus", "f1_plus"):
-            defect = np.abs(getattr(bp, name) - s1 * getattr(bm, name)).max()
-            assert defect <= 1e-12 * fmax
-        for name in ("f2_minus", "f2_plus"):
-            defect = np.abs(getattr(bp, name) - s2 * getattr(bm, name)).max()
-            assert defect <= 1e-12 * fmax
 
 
 def test_determinant_drift_with_n(case50, case100):
