@@ -17,10 +17,13 @@ from .params import MaterialConfig
 
 __all__ = ["main", "build_parser", "parse_config_file"]
 
-_FLOAT_KEYS = ("nu", "nu_p", "speed_ratio", "h1", "h2", "xi0", "sigma_frac")
+_MATERIAL_KEYS = ("nu", "nu_p", "speed_ratio", "h1", "h2", "xi0")
+_FLOAT_KEYS = _MATERIAL_KEYS + ("sigma_frac",)
 _LIST_KEYS = ("xi", "y")
 _INT_KEYS = ("n",)
 _STR_KEYS = ("sweep", "sweep_range", "out")
+# value key -> RunConfig field
+_RUN_KEYS = {"n": "n", "sigma_frac": "sigma_fraction"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,14 +112,9 @@ def _merge(args: argparse.Namespace) -> dict:
 
 
 def _build_run_config(values: dict) -> RunConfig:
-    material = MaterialConfig(
-        nu=values.get("nu", 0.1),
-        nu_p=values.get("nu_p", 0.3),
-        speed_ratio=values.get("speed_ratio", 0.2),
-        h1=values.get("h1", -1.0),
-        h2=values.get("h2", -1.0),
-        xi0=values.get("xi0", 0.0),
-    )
+    # keys left unset keep the defaults of MaterialConfig and RunConfig
+    material = MaterialConfig(**{k: values[k] for k in _MATERIAL_KEYS if k in values})
+    options = {name: values[k] for k, name in _RUN_KEYS.items() if k in values}
     xi_list = [float(v) for v in values.get("xi", [-1.0])]
     y_list = [float(v) for v in values.get("y", [0.0])]
     if len(y_list) == 1 and len(xi_list) > 1:
@@ -127,18 +125,16 @@ def _build_run_config(values: dict) -> RunConfig:
         raise ConfigError(
             f"--xi and --y counts differ: {len(xi_list)} vs {len(y_list)}"
         )
-    sweep = values.get("sweep")
     sweep_range = values.get("sweep_range")
     if isinstance(sweep_range, str):
         sweep_range = _parse_sweep_range(sweep_range)
     return RunConfig(
         material=material,
-        n=int(values.get("n", 100)),
-        sigma_fraction=float(values.get("sigma_frac", 0.25)),
         points=tuple(zip(xi_list, y_list)),
-        sweep=sweep,
+        sweep=values.get("sweep"),
         sweep_range=sweep_range,
         out=values.get("out"),
+        **options,
     )
 
 

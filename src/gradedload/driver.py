@@ -69,6 +69,10 @@ class RunConfig:
             if self.sweep_range is None:
                 raise ConfigError("sweep requested without a sweep range")
             start, stop, step = self.sweep_range
+            if not all(math.isfinite(v) for v in self.sweep_range):
+                raise ConfigError(
+                    f"sweep range must be finite, got {self.sweep_range}"
+                )
             if step <= 0:
                 raise ConfigError(
                     f"sweep step must be positive, got {self.sweep_range}"

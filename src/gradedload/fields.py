@@ -59,10 +59,12 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
     """Boundary values ``Phi_j^{(m)}`` of the "+" variant at nu - 1.
 
     Quadrature of the solved densities against the load kernel; the
-    component-j functional integrates the opposite-component densities.
-    With an all-zero solution only the forcing term ``-delta_jm /
-    cos(pi nu / 2)`` survives, which pins the normalization.  The "-"
-    variant's values are ``J Phi J`` (see :func:`constants_c`).
+    component-j functional integrates the opposite-component densities,
+    ``sol.f2`` for j = 1 and ``sol.f1`` for j = 2, each family with the
+    weights of its exponent (``F1^-`` and ``F2^+`` carry delta1^-).  With
+    an all-zero solution only the forcing term ``-delta_jm / cos(pi nu / 2)``
+    survives, which pins the normalization.  The "-" variant's values are
+    ``J Phi J`` (see :func:`constants_c`).
 
     Returns
     -------
@@ -71,30 +73,19 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
     """
     p = sol.params
     d = sol.disc
+    n = d.n
     nu = p.nu
     xn = d.nodes[1:]
     phase = np.exp(-1j * np.pi * (p.sigma - nu) / 2.0)
     den_plus = xn * phase + 1.0 / phase
     den_minus = xn / phase + phase
-    forcing = 1.0 / math.cos(np.pi * nu / 2.0)
-    phi = np.zeros((2, 2), dtype=complex)
-    for j in (1, 2):
-        # family weights of the opposite component: delta_{3-j}^+ pairs
-        # with w_minus for j = 1 (exponent identity) and w_plus for j = 2
-        if j == 1:
-            w_plus_fam, w_minus_fam = d.w_minus, d.w_plus
-        else:
-            w_plus_fam, w_minus_fam = d.w_plus, d.w_minus
-        for m in (1, 2):
-            block = sol.blocks[m]
-            fp = block.f2_plus if j == 1 else block.f1_plus
-            fm = block.f2_minus if j == 1 else block.f1_minus
-            total = np.sum(fp * w_plus_fam / den_plus + fm * w_minus_fam / den_minus)
-            value = 0.5j / np.pi * total
-            if j == m:
-                value -= forcing
-            phi[j - 1, m - 1] = value
-    return phi
+    # (densities, weights of their "+" rows, of their "-" rows) per component
+    phi = np.array([
+        [0.5j / np.pi * np.sum(f[n:, k] * wa / den_plus + f[:n, k] * wb / den_minus)
+         for k in (0, 1)]
+        for f, wa, wb in ((sol.f2, d.w_minus, d.w_plus), (sol.f1, d.w_plus, d.w_minus))
+    ])
+    return phi - np.eye(2) / math.cos(np.pi * nu / 2.0)
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,11 @@ class DerivedParams:
     shear and pressure waves; ``beta1, beta2`` the positive-definite speed
     factors of the two wave operators; ``beta = beta2/beta1`` controls the
     kernel oscillation rate ``eps``.  ``r`` and ``l`` solve the exponent
-    matching conditions; the four ``delta`` values are the oscillation
-    exponents of the solution families.  ``gamma1, gamma2`` scale the load
-    amplitudes in the boundary conditions, and ``cd2_cs2 = (c_d/c_s)**2``
-    doubles as ``(lam0 + 2 mu0)/mu0``.
+    matching conditions; ``delta1_minus``, ``delta1_plus`` are the
+    oscillation exponents of both solution families, which the second
+    family takes crosswise (see :mod:`gradedload.system`).  ``gamma1,
+    gamma2`` scale the load amplitudes in the boundary conditions, and
+    ``cd2_cs2 = (c_d/c_s)**2`` doubles as ``(lam0 + 2 mu0)/mu0``.
     """
 
     nu: float
@@ -93,8 +94,6 @@ class DerivedParams:
     l_param: float
     delta1_minus: float
     delta1_plus: float
-    delta2_minus: float
-    delta2_plus: float
     gamma1: float
     gamma2: float
     cd2_cs2: float
@@ -158,10 +157,6 @@ def derive_params(config: MaterialConfig, sigma_fraction: float = 0.25) -> Deriv
     r, l = _oscillation_shift(beta, lam1, lam2)
     delta1_minus = eps / 2.0 + l
     delta1_plus = -eps / 2.0 + l
-    # the matching conditions pair the second family with the first:
-    # delta2^- = delta1^+ and delta2^+ = delta1^-
-    delta2_minus = delta1_plus
-    delta2_plus = delta1_minus
     sigma = sigma_fraction * nu
     gam = math.gamma((1.0 - nu) / 2.0)
     gamma1 = gam / (MU0 * 2.0 ** (nu + 1.0) * beta1 ** ((nu - 1.0) / 2.0))
@@ -181,8 +176,6 @@ def derive_params(config: MaterialConfig, sigma_fraction: float = 0.25) -> Deriv
         l_param=l,
         delta1_minus=delta1_minus,
         delta1_plus=delta1_plus,
-        delta2_minus=delta2_minus,
-        delta2_plus=delta2_plus,
         gamma1=gamma1,
         gamma2=gamma2,
         cd2_cs2=cd2_cs2,

@@ -13,10 +13,12 @@ unknown densities):
 
 where S(delta) carries the fixed-singularity kernel in its first column and
 R(delta) is the regular complementary block; superscripts -/+ mark the two
-exponent families.  In 2x2 form ``A = [[D_a, X], [Y, D_b]]`` with diagonal
-``D_a``, ``D_b``.  This is the "+" sign variant of the formulation and the
-only one solved.  The "-" variant negates the diagonal blocks and the
-forcing, ``A_- = -J A J`` and ``r_- = -r`` with ``J = diag(I, -I)``.
+exponent families.  Only ``delta1^-`` and ``delta1^+`` appear: the layout
+states the pairing ``delta2^- = delta1^+``, ``delta2^+ = delta1^-``.  In
+2x2 form ``A = [[D_a, X], [Y, D_b]]`` with diagonal ``D_a``, ``D_b``.  This
+is the "+" sign variant of the formulation and the only one solved.  The
+"-" variant negates the diagonal blocks and the forcing, ``A_- = -J A J``
+and ``r_- = -r`` with ``J = diag(I, -I)``.
 Component m = 1 forces only the first half of the rows (``J r = r``) and
 m = 2 only the second (``J r = -r``), so the "-" densities are ``J`` times
 the "+" ones for m = 1 and ``-J`` times them for m = 2; the "-" boundary
@@ -40,7 +42,6 @@ from .params import DerivedParams, MaterialConfig, derive_params
 
 __all__ = [
     "Discretization",
-    "SolutionBlock",
     "SIESolution",
     "build_grid",
     "step_weights",
@@ -158,20 +159,7 @@ class BlockSystem:
 
 
 def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
-    """Collocation blocks of the system (see the module docstring).
-
-    Raises
-    ------
-    ConfigError
-        If the exponents break the family pairing delta2^- = delta1^+,
-        delta2^+ = delta1^-, on which the block layout rests.
-    """
-    if p.delta2_minus != p.delta1_plus or p.delta2_plus != p.delta1_minus:
-        raise ConfigError(
-            "block layout needs delta2^- == delta1^+ and delta2^+ == delta1^-, got "
-            f"delta2^- = {p.delta2_minus!r}, delta1^+ = {p.delta1_plus!r}, "
-            f"delta2^+ = {p.delta2_plus!r}, delta1^- = {p.delta1_minus!r}"
-        )
+    """Collocation blocks of the system (see the module docstring)."""
     log_xk = np.log(d.nodes[1:])
     arg_minus = p.sigma - 1j / np.pi * log_xk
     arg_plus = p.sigma + 1j / np.pi * log_xk
@@ -270,29 +258,22 @@ def block_solve(
 
 
 @dataclass(frozen=True)
-class SolutionBlock:
-    """One solved unknown set: the four density vectors of length N."""
-
-    f1_minus: np.ndarray
-    f1_plus: np.ndarray
-    f2_minus: np.ndarray
-    f2_plus: np.ndarray
-
-
-@dataclass(frozen=True)
 class SIESolution:
     """Solution of the collocation system for both load components.
 
-    ``blocks`` maps the load component m in {1, 2} to a
-    :class:`SolutionBlock` of the "+" variant; ``residuals`` maps m to the
-    relative infinity-norm residual of its solve.  The "-" variant is not
-    stored: its densities are ``+-J`` times these (see the module
+    ``f1`` and ``f2`` are the "+" variant's density stacks
+    ``[F1^-; F1^+]`` and ``[F2^-; F2^+]`` of shape ``(2N, 2)``: the
+    ``u`` and ``v`` of :func:`block_solve`, family "-" in the first N rows,
+    and column m - 1 for load component m.  ``residuals`` maps m in {1, 2}
+    to the relative infinity-norm residual of its solve.  The "-" variant
+    is not stored: its densities are ``+-J`` times these (see the module
     docstring), with equal residuals.
     """
 
     params: DerivedParams
     disc: Discretization
-    blocks: dict
+    f1: np.ndarray
+    f2: np.ndarray
     residuals: dict
 
 
@@ -319,14 +300,5 @@ def solve_system(
     res = np.maximum(
         np.abs(au - rhs[:2 * n]).max(axis=0), np.abs(av - rhs[2 * n:]).max(axis=0)
     ) / np.abs(rhs).max(axis=0)
-    blocks = {
-        m: SolutionBlock(
-            f1_minus=u[:n, m - 1],
-            f1_plus=u[n:, m - 1],
-            f2_minus=v[:n, m - 1],
-            f2_plus=v[n:, m - 1],
-        )
-        for m in (1, 2)
-    }
     residuals = {m: float(res[m - 1]) for m in (1, 2)}
-    return SIESolution(params=p, disc=d, blocks=blocks, residuals=residuals)
+    return SIESolution(params=p, disc=d, f1=u, f2=v, residuals=residuals)

@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 import gradedload.cli as cli
-from gradedload import ConfigError, RealnessError
+from gradedload import ConfigError, RealnessError, RunConfig
 from gradedload.cli import main, parse_config_file
 
 
@@ -23,9 +23,18 @@ def test_supersonic_exit_code(capsys):
     assert "SubsonicViolation" in err
 
 
-def test_bad_sweep_range(capsys):
+def test_bad_sweep_range(capsys, monkeypatch):
+    # refused while the config is built; the sweep itself, whose grid would
+    # never end on a NaN bound, must not be reached
+    monkeypatch.setattr(cli, "run_sweep", lambda rc: pytest.fail("sweep reached"))
     assert main(["--sweep", "nu", "--sweep-range", "a:b:c"]) == 2
     assert "sweep range" in capsys.readouterr().err
+    assert main(["--sweep", "nu", "--sweep-range", "0.1:nan:0.1"]) == 2
+    assert "ConfigError: sweep range must be finite" in capsys.readouterr().err
+
+
+def test_build_run_config_keeps_class_defaults():
+    assert cli._build_run_config({}) == RunConfig()
 
 
 def test_gap_point_marked_not_fatal(capsys):

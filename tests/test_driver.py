@@ -118,6 +118,17 @@ def test_run_config_gates():
         RunConfig(points=())
 
 
+def test_run_config_rejects_non_finite_range():
+    # a NaN passes every ordered comparison as false and an infinite step
+    # never leaves the grid loop, so each must be refused up front
+    for bad in (math.nan, math.inf, -math.inf):
+        for pos in range(3):
+            sweep_range = [0.1, 0.5, 0.1]
+            sweep_range[pos] = bad
+            with pytest.raises(ConfigError, match="sweep range must be finite"):
+                RunConfig(sweep="nu", sweep_range=tuple(sweep_range))
+
+
 def test_sweep_values_inclusive():
     assert driver._sweep_values((0.1, 0.5, 0.1)) == pytest.approx(
         [0.1, 0.2, 0.3, 0.4, 0.5]

@@ -14,7 +14,7 @@ from gradedload import (
     evaluate_point,
 )
 from gradedload.fields import boundary_phi, constants_c, field_coeffs
-from gradedload.system import SIESolution, SolutionBlock
+from gradedload.system import SIESolution
 
 # regression values from this implementation (cross-checked against the
 # published reference digits in test_acceptance.py)
@@ -23,12 +23,11 @@ DELTA_N100 = 1.000743 - 1.440138e-4j
 
 
 def zeroed_solution(sol: SIESolution) -> SIESolution:
-    n = sol.disc.n
-    zero = np.zeros(n, dtype=complex)
-    block = SolutionBlock(f1_minus=zero, f1_plus=zero, f2_minus=zero, f2_plus=zero)
-    blocks = {key: block for key in sol.blocks}
+    shape = (2 * sol.disc.n, 2)
+    assert sol.f1.shape == sol.f2.shape == shape
+    zero = np.zeros(shape, dtype=complex)
     return SIESolution(
-        params=sol.params, disc=sol.disc, blocks=blocks, residuals=sol.residuals
+        params=sol.params, disc=sol.disc, f1=zero, f2=zero, residuals=sol.residuals
     )
 
 
@@ -45,6 +44,39 @@ def test_zero_solution_forcing_only(case25):
         for m in (0, 1):
             expected = forcing if j == m else 0.0
             assert phi[j, m] == expected
+
+
+def test_phi_from_family_exponents(case25, case50, case100):
+    # Phi_j^(m) written entry by entry from the documented quadrature:
+    # component j integrates the densities of component 3 - j, and each
+    # family takes the cell weights of its own exponent.  F1^- and F1^+
+    # carry delta1^- and delta1^+; F2^- and F2^+ carry delta2^- = delta1^+
+    # and delta2^+ = delta1^-.
+    for case in (case25, case50, case100):
+        sol = case.solution
+        d, p, n = sol.disc, sol.params, sol.disc.n
+        weights = {"delta1^-": d.w_minus, "delta1^+": d.w_plus}
+        # component j -> (density stack, exponent of its "+" rows, of its "-" rows)
+        opposite = {
+            1: (sol.f2, "delta1^-", "delta1^+"),
+            2: (sol.f1, "delta1^+", "delta1^-"),
+        }
+        phase = np.exp(-1j * np.pi * (p.sigma - p.nu) / 2.0)
+        x = d.nodes[1:]
+        den_plus = x * phase + 1.0 / phase
+        den_minus = x / phase + phase
+        phi = boundary_phi(sol)
+        for j in (1, 2):
+            f, exp_plus, exp_minus = opposite[j]
+            for m in (1, 2):
+                f_plus, f_minus = f[n:, m - 1], f[:n, m - 1]
+                expected = 0.5j / np.pi * np.sum(
+                    f_plus * weights[exp_plus] / den_plus
+                    + f_minus * weights[exp_minus] / den_minus
+                )
+                if j == m:
+                    expected -= 1.0 / math.cos(math.pi * p.nu / 2.0)
+                assert phi[j - 1, m - 1] == expected
 
 
 def test_phi_shape(case50):

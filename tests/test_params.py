@@ -62,23 +62,17 @@ def test_oscillation_exponents(params_default):
     assert p.l_param == pytest.approx(L_PARAM, rel=1e-12)
     assert p.delta1_minus == pytest.approx(DELTA1_MINUS, rel=1e-13)
     assert p.delta1_plus == pytest.approx(DELTA1_PLUS, rel=1e-13)
-    # the two families share their exponents crosswise, exactly
-    assert p.delta2_minus == p.delta1_plus
-    assert p.delta2_plus == p.delta1_minus
 
 
 def test_exponent_differences(params_default):
     p = params_default
-    assert abs((p.delta1_minus - p.delta2_minus) - p.eps) <= 1e-12
-    assert abs((p.delta2_plus - p.delta1_plus) - p.eps) <= 1e-12
+    assert abs((p.delta1_minus - p.delta1_plus) - p.eps) <= 1e-12
 
 
 def test_sinh_cancellation(params_default):
     p = params_default
-    prod_minus = math.sinh(math.pi * p.delta1_minus) * math.sinh(math.pi * p.delta2_minus)
-    prod_plus = math.sinh(math.pi * p.delta1_plus) * math.sinh(math.pi * p.delta2_plus)
-    assert abs(p.lam1 * p.lam2 / (4.0 * prod_minus) + 1.0) <= 1e-12
-    assert abs(p.lam1 * p.lam2 / (4.0 * prod_plus) + 1.0) <= 1e-12
+    prod = math.sinh(math.pi * p.delta1_minus) * math.sinh(math.pi * p.delta1_plus)
+    assert abs(p.lam1 * p.lam2 / (4.0 * prod) + 1.0) <= 1e-12
     # triple equality with the cosh form
     cosh_pi_eps = (math.sqrt(p.beta) + 1.0 / math.sqrt(p.beta)) / 2.0
     lhs = math.sinh(math.pi * (p.l_param + p.eps / 2.0)) * math.sinh(
@@ -145,10 +139,9 @@ def test_parameter_grid_identities():
             assert p.beta1 > 0.0 and p.beta2 > 0.0
             assert p.r_param > 1.0
             assert p.r_param == pytest.approx(closed_form_r(p.a_d, p.a_s), rel=1e-10)
-            assert abs((p.delta1_minus - p.delta2_minus) - p.eps) <= 1e-12
-            assert abs((p.delta2_plus - p.delta1_plus) - p.eps) <= 1e-12
+            assert abs((p.delta1_minus - p.delta1_plus) - p.eps) <= 1e-12
             prod = math.sinh(math.pi * p.delta1_minus) * math.sinh(
-                math.pi * p.delta2_minus
+                math.pi * p.delta1_plus
             )
             assert abs(p.lam1 * p.lam2 / (4.0 * prod) + 1.0) <= 1e-10
 
@@ -173,6 +166,4 @@ def test_derivation_total_on_valid_inputs(nu, nu_p, speed):
     assert p.beta1 > 0.0 and p.beta2 > 0.0
     assert p.r_param >= 1.0
     assert p.l_param >= 0.0
-    assert p.delta2_minus == p.delta1_plus
-    assert p.delta2_plus == p.delta1_minus
     assert 0.0 < p.sigma < p.nu

@@ -1,7 +1,5 @@
 """Grid construction, matrix structure, forcing, and the linear solve."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -113,15 +111,6 @@ def test_matrix_sign_flip(disc16, p01):
     assert np.allclose(np.vstack([au, av]), ref, rtol=1e-13, atol=1e-13)
     j = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
     assert np.array_equal(a_minus, -(j[:, None] * a_plus * j[None, :]))
-
-
-def test_exponent_pairing_enforced(disc16, p01):
-    # the block layout rests on delta2^- = delta1^+ and delta2^+ = delta1^-;
-    # a broken pairing is a typed error, not an assert stripped by -O
-    for field in ("delta2_minus", "delta2_plus"):
-        broken = replace(p01, **{field: getattr(p01, field) + 1e-3})
-        with pytest.raises(ConfigError, match="delta2"):
-            block_system(disc16, broken)
 
 
 def test_diagonal_entry_independent(p01):
@@ -243,7 +232,7 @@ def test_singular_kernel_node_raises(monkeypatch):
 
 def test_dense_oracle_both_variants():
     # both sign variants solved densely with scipy, independent of the
-    # block elimination: the stored "+" blocks solve A_+, and J maps them
+    # block elimination: the stored "+" stacks solve A_+, and J maps them
     # onto the solution of A_- (J for m = 1, -J for m = 2)
     for n in (16, 50):
         sol = solve_system(MaterialConfig(), n=n)
@@ -254,10 +243,7 @@ def test_dense_oracle_both_variants():
             for m, flip in ((1, 1.0), (2, -1.0)):
                 # the "-" variant negates the forcing as well
                 ref = sla.solve(a, sign * assemble_rhs(d, p, m))
-                block = sol.blocks[m]
-                got = np.concatenate(
-                    [block.f1_minus, block.f1_plus, block.f2_minus, block.f2_plus]
-                )
+                got = np.concatenate([sol.f1[:, m - 1], sol.f2[:, m - 1]])
                 if sign == -1:
                     got = flip * j * got
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -266,12 +252,11 @@ def test_dense_oracle_both_variants():
 def test_solve_system_residuals(case50):
     sol = case50.solution
     assert set(sol.residuals) == {1, 2}
-    assert set(sol.blocks) == {1, 2}
     for value in sol.residuals.values():
         assert value <= 1e-10
-    block = sol.blocks[1]
-    assert len(block.f1_minus) == 50
-    assert len(block.f2_plus) == 50
+    # families "-" then "+" in the rows, one column per load component
+    assert sol.f1.shape == (100, 2)
+    assert sol.f2.shape == (100, 2)
 
 
 def test_determinant_drift_with_n(case50, case100):
