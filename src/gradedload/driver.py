@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _SWEEP_KINDS = ("nu", "speed")
+# most grid steps one sweep may take; each grid value is one solve
+_MAX_SWEEP_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -79,26 +81,40 @@ class RunConfig:
                 )
             # stop < start is allowed and means an empty sweep; nonempty
             # ranges must stay inside the open (0, 1) validity gate shared
-            # by both sweep axes.
-            if start <= stop and not (0.0 < start and stop < 1.0):
-                raise ConfigError(
-                    f"{self.sweep} sweep values must lie in (0, 1), got {self.sweep_range}"
-                )
+            # by both sweep axes and take at most _MAX_SWEEP_STEPS steps,
+            # checked before the grid is built.
+            if start <= stop:
+                if not (0.0 < start and stop < 1.0):
+                    raise ConfigError(
+                        f"{self.sweep} sweep values must lie in (0, 1), got {self.sweep_range}"
+                    )
+                steps = (stop - start) / step
+                if steps > _MAX_SWEEP_STEPS:
+                    raise ConfigError(
+                        f"sweep range {self.sweep_range} takes {steps:.3g} steps, "
+                        f"more than the cap of {_MAX_SWEEP_STEPS}"
+                    )
         if not self.points:
             raise ConfigError("at least one query point is required")
 
 
 @dataclass(frozen=True)
 class CaseSolution:
-    """Solved configuration with its boundary constants."""
+    """Solved configuration with its boundary constants and the expansion
+    coefficients of the sides kappa = sgn(xi0 - xi) = +1 and -1."""
 
     config: MaterialConfig
     params: DerivedParams
     solution: SIESolution
     constants: BoundaryConstants
+    coeffs_plus: FieldCoefficients
+    coeffs_minus: FieldCoefficients
 
     def coefficients(self, kappa: float) -> FieldCoefficients:
-        return field_coeffs(self.constants, self.params, kappa)
+        """The stored coefficients of the side ``kappa`` (+1 or -1)."""
+        if kappa not in (1.0, -1.0):
+            raise ConfigError(f"kappa must be +-1, got {kappa}")
+        return self.coeffs_plus if kappa > 0 else self.coeffs_minus
 
 
 @dataclass(frozen=True)
@@ -116,13 +132,16 @@ def solve_case(
 ) -> CaseSolution:
     """Run the solve chain for one configuration."""
     solution = solve_system(material, n=n, sigma_fraction=sigma_fraction)
+    p = solution.params
     phi = boundary_phi(solution)
-    constants = constants_c(phi, material, solution.params)
+    constants = constants_c(phi, material, p)
     return CaseSolution(
         config=material,
-        params=solution.params,
+        params=p,
         solution=solution,
         constants=constants,
+        coeffs_plus=field_coeffs(constants, p, 1.0),
+        coeffs_minus=field_coeffs(constants, p, -1.0),
     )
 
 
@@ -134,7 +153,7 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
     raises :class:`ExpansionRangeError`.
     """
     xi0 = case.config.xi0
-    coeffs = case.coefficients(math.copysign(1.0, xi0 - xi))
+    coeffs = case.coeffs_plus if xi < xi0 else case.coeffs_minus
     return evaluate_fields(coeffs, xi, xi0, y, case.params)
 
 
@@ -192,21 +211,18 @@ def format_report(report: CaseReport) -> str:
     )
     for label, c in (("plus", bc.c_plus), ("minus", bc.c_minus)):
         lines.append(f"constants_{label}: c1={_fmtc(c[0])} c2={_fmtc(c[1])}")
-    seen_kappa = []
-    for res in report.results:
-        kappa = math.copysign(1.0, case.config.xi0 - res.xi)
-        if kappa not in seen_kappa:
-            seen_kappa.append(kappa)
-    # the eta^3 coefficient vanishes by periodicity; its column stays in the
-    # layout
-    for kappa in seen_kappa:
+    # the sides of the query points, in order of first appearance
+    sides = dict.fromkeys(math.copysign(1.0, cfg.xi0 - res.xi) for res in report.results)
+    # d1 and e0 vanish through the boundary conditions and the eta^3
+    # coefficient by periodicity; their columns stay in the layout
+    for kappa in sides:
         co = case.coefficients(kappa)
         for j in (0, 1):
             lines.append(
                 f"coeffs kappa={kappa:+.0f} j={j + 1}: "
-                f"d0={_fmtc(co.d0[j])} d1={_fmtc(co.d1[j])} "
+                f"d0={_fmtc(co.d0[j])} d1=0+0j "
                 f"d2={_fmtc(co.d2[j])} d3=0+0j "
-                f"e0={_fmtc(co.e0[j])} e1={_fmtc(co.e1[j])}"
+                f"e0=0+0j e1={_fmtc(co.e1[j])}"
             )
     for res in report.results:
         parts = [

@@ -6,9 +6,10 @@ From a solved collocation system this module recovers the boundary values
 the determinant ``Delta`` that both share, the load constants ``C_{j +-}``
 and finally the expansion coefficients that give the displacements, their
 tangential derivatives, and the stresses near the surface (small
-eta = y/|xi - xi0|) or at depth (large eta).  The fields at
-a point come from one function, :func:`evaluate_fields`, which the public
-entry point :func:`gradedload.driver.evaluate_point` calls.
+eta = y/|xi - xi0|) or at depth (large eta).  The coefficients are built
+once per side of the load; the fields at a point come from one function,
+:func:`evaluate_fields`, on Python floats and complex numbers only, which
+the public entry point :func:`gradedload.driver.evaluate_point` calls.
 
 Physical outputs are real; the computed complex values carry a small
 imaginary residue from the discretization, which is recorded and projected
@@ -151,68 +152,45 @@ def constants_c(
 class FieldCoefficients:
     """Expansion coefficients for one side of the load (one kappa).
 
-    ``d0..d2`` drive the near-surface displacement expansion in powers of
-    eta, ``e0, e1`` the deep expansion of the tangential derivative.  All
-    arrays are indexed by component (j - 1).  ``d1`` and ``e0`` vanish
-    analytically through the boundary conditions and are kept as numerical
-    checks; the eta^3 coefficient vanishes by periodicity and is omitted.
+    ``d0`` and ``d2`` drive the near-surface displacement expansion
+    ``d0 + d2 eta^2``, ``e1`` the deep expansion of the tangential
+    derivative, each a pair of Python ``complex`` indexed by component
+    (j - 1).  The odd coefficient ``d1`` and the deep constant ``e0`` are
+    multiples of ``Phi_+ C_+ - Phi_- C_-``, zero because both constant
+    pairs solve ``Phi C = gamma H``, and the eta^3 coefficient vanishes by
+    periodicity; none of the three is stored.
     """
 
     kappa: float
-    d0: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    e0: np.ndarray
-    e1: np.ndarray
+    d0: tuple[complex, complex]
+    d2: tuple[complex, complex]
+    e1: tuple[complex, complex]
 
 
 def field_coeffs(
     bc: BoundaryConstants, p: DerivedParams, kappa: float
 ) -> FieldCoefficients:
     """Expansion coefficients on the side ``kappa = sgn(xi0 - xi)``."""
-    if kappa not in (1.0, -1.0, 1, -1):
+    if kappa not in (1.0, -1.0):
         raise ConfigError(f"kappa must be +-1, got {kappa}")
     kappa = float(kappa)
     nu = p.nu
-    phi_plus, phi_minus = bc.phi, bc.phi_minus
-    c_plus, c_minus = bc.c_plus, bc.c_minus
     turn = np.exp(1j * np.pi * kappa * nu / 2.0)
     lead = math.gamma(nu / 2.0) * 2.0 ** (nu - 1.0) / (
         np.pi ** 1.5 * math.cos(np.pi * nu / 2.0)
     )
-    gamma_tail = math.gamma((3.0 - nu) / 2.0)
-    d0 = np.zeros(2, dtype=complex)
-    d1 = np.zeros(2, dtype=complex)
-    d2 = np.zeros(2, dtype=complex)
-    e0 = np.zeros(2, dtype=complex)
-    e1 = np.zeros(2, dtype=complex)
-    # signed sums of C against the boundary functionals, per component
-    bracket = np.zeros(2, dtype=complex)
-    for j in (1, 2):
-        bracket[j - 1] = (
-            c_plus[0] * phi_plus[j - 1, 0]
-            + c_plus[1] * phi_plus[j - 1, 1]
-            - c_minus[0] * phi_minus[j - 1, 0]
-            - c_minus[1] * phi_minus[j - 1, 1]
-        )
-    for j in (1, 2):
-        beta_j = p.beta1 if j == 1 else p.beta2
-        d0[j - 1] = lead * (turn * c_plus[j - 1] + c_minus[j - 1] / turn)
-        d1[j - 1] = (
-            1j * kappa * 2.0 ** (nu - 1.0) * beta_j ** ((nu - 1.0) / 2.0)
-            / (np.pi * gamma_tail) * bracket[j - 1]
-        )
-        d2[j - 1] = -nu * d0[j - 1] / (2.0 * beta_j)
-        e0[j - 1] = (
-            1j * 2.0 ** nu * coeff_b(j, nu, p) * beta_j ** (nu / 2.0)
-            / gamma_tail * bracket[2 - j]
-        )
-        e1[j - 1] = (
+    # per component, the two sign variants' constants turned by +-pi nu/2
+    mix = [turn * bc.c_plus[k] + bc.c_minus[k] / turn for k in (0, 1)]
+    d0, d2, e1 = [], [], []
+    for j, beta_j in ((1, p.beta1), (2, p.beta2)):
+        d0_j = lead * mix[j - 1]
+        d0.append(complex(d0_j))
+        d2.append(complex(-nu * d0_j / (2.0 * beta_j)))
+        e1.append(complex(
             -2.0 * kappa / np.pi * coeff_b(j, 1.0, p) * math.sqrt(beta_j)
-            * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0)
-            * (c_plus[2 - j] * turn + c_minus[2 - j] / turn)
-        )
-    return FieldCoefficients(kappa=kappa, d0=d0, d1=d1, d2=d2, e0=e0, e1=e1)
+            * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0) * mix[2 - j]
+        ))
+    return FieldCoefficients(kappa=kappa, d0=tuple(d0), d2=tuple(d2), e1=tuple(e1))
 
 
 @dataclass(frozen=True)
@@ -283,16 +261,15 @@ def evaluate_fields(
     eta = y / dist
     nu = p.nu
     if eta <= NEAR_ETA_MAX:
-        d0, d1, d2 = coeffs.d0, coeffs.d1, coeffs.d2
+        d0, d2 = coeffs.d0, coeffs.d2
+        eta2 = eta**2
         amp = dist ** (-nu)
-        u1, u2, r_u = _project(
-            *(amp * (d0[j] + d1[j] * eta + d2[j] * eta**2) for j in (0, 1))
-        )
+        u1, u2, r_u = _project(amp * (d0[0] + d2[0] * eta2), amp * (d0[1] + d2[1] * eta2))
         amp = math.copysign(1.0, xi - xi0) * dist ** (-nu - 1.0)
-        du1, du2, r_du = _project(*(
-            amp * (-nu * d0[j] - (nu + 1.0) * d1[j] * eta - (nu + 2.0) * d2[j] * eta**2)
-            for j in (0, 1)
-        ))
+        du1, du2, r_du = _project(
+            amp * (-nu * d0[0] - (nu + 2.0) * d2[0] * eta2),
+            amp * (-nu * d0[1] - (nu + 2.0) * d2[1] * eta2),
+        )
         if y == 0.0:
             s12, s22, r_s = 0.0, 0.0, 0.0
         else:
@@ -302,11 +279,11 @@ def evaluate_fields(
             # the normal zeroth-order with the tangential second-order
             # coefficient, the normal stress the other way around
             s12, s22, r_s = _project(
-                front * (-nu * d0[1] + 2.0 * d2[0] * eta - (nu + 2.0) * d2[1] * eta**2),
+                front * (-nu * d0[1] + 2.0 * d2[0] * eta - (nu + 2.0) * d2[1] * eta2),
                 front * (
                     -lam0 * nu * d0[0]
                     + p.cd2_cs2 * 2.0 * d2[1] * eta
-                    - lam0 * (nu + 2.0) * d2[0] * eta**2
+                    - lam0 * (nu + 2.0) * d2[0] * eta2
                 ),
             )
         return FieldResult(
@@ -315,10 +292,10 @@ def evaluate_fields(
             imag_residue=max(r_u, r_du, r_s),
         )
     if eta >= DEEP_ETA_MIN:
-        du1, du2, r_du = _project(*(
-            (coeffs.e0[j] + coeffs.e1[j] * eta ** (nu - 1.0)) / (np.pi * (xi - xi0) * y**nu)
-            for j in (0, 1)
-        ))
+        e1 = coeffs.e1
+        tail = eta ** (nu - 1.0)
+        scale = math.pi * (xi - xi0) * y**nu
+        du1, du2, r_du = _project(e1[0] * tail / scale, e1[1] * tail / scale)
         return FieldResult(
             xi=xi, y=y, eta=eta, expansion="deep",
             u1=None, u2=None, du1_dxi=du1, du2_dxi=du2, s12=None, s22=None,

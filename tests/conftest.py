@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from gradedload import MaterialConfig, solve_case
+from gradedload.fields import boundary_phi
 from gradedload.kernels import kernel_g
-from gradedload.system import regular_block, singular_block
+from gradedload.system import assemble_rhs, regular_block, singular_block
 
 _CACHE: dict = {}
 
@@ -89,3 +94,19 @@ def dense_matrix(d, p, sign):
         [s_minus, r_plus, d3, zero],
         [r_minus, s_plus, zero, d4],
     ])
+
+
+def dense_phi_minus(case) -> np.ndarray:
+    """``Phi_-`` of a solved case with the "-" variant solved on its own.
+
+    The code derives the "-" variant from the "+" solve as
+    ``Phi_- = J Phi_+ J``; here the dense ``A_-`` is solved with the negated
+    forcing.  ``boundary_phi`` returns Q - F, the quadrature term Q with the
+    "+" sign and the load forcing F; the "-" variant has -Q - F.
+    """
+    d, p, n = case.solution.disc, case.params, case.solution.disc.n
+    rhs = np.stack([assemble_rhs(d, p, m) for m in (1, 2)], axis=1)
+    x = sla.solve(dense_matrix(d, p, -1), -rhs)
+    solved = dataclasses.replace(case.solution, f1=x[:2 * n], f2=x[2 * n:])
+    forcing = np.eye(2) / math.cos(math.pi * p.nu / 2.0)
+    return -(boundary_phi(solved) + forcing) - forcing

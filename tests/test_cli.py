@@ -33,6 +33,14 @@ def test_bad_sweep_range(capsys, monkeypatch):
     assert "ConfigError: sweep range must be finite" in capsys.readouterr().err
 
 
+def test_oversized_sweep_refused(capsys, monkeypatch):
+    # a finite but tiny step would build its whole grid before any solve
+    monkeypatch.setattr(cli, "run_sweep", lambda rc: pytest.fail("sweep reached"))
+    assert main(["--sweep", "nu", "--sweep-range", "0.1:0.5:1e-12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: sweep range") and "cap of 10000" in err
+
+
 def test_build_run_config_keeps_class_defaults():
     assert cli._build_run_config({}) == RunConfig()
 

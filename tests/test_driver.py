@@ -28,8 +28,31 @@ def test_solve_case_contents(case25):
     assert case25.solution.disc.n == 25
     assert case25.params.nu == 0.1
     assert case25.constants.c_plus.shape == (2,)
-    co = case25.coefficients(1.0)
-    assert co.kappa == 1.0
+    assert case25.coefficients(1.0) is case25.coeffs_plus
+    assert case25.coefficients(-1.0) is case25.coeffs_minus
+    assert (case25.coeffs_plus.kappa, case25.coeffs_minus.kappa) == (1.0, -1.0)
+    for co in (case25.coeffs_plus, case25.coeffs_minus):
+        for pair in (co.d0, co.d2, co.e1):
+            assert len(pair) == 2 and all(type(v) is complex for v in pair)
+    with pytest.raises(ConfigError):
+        case25.coefficients(0.5)
+
+
+def test_coefficients_built_once_per_case(monkeypatch):
+    # both sides' coefficients come from solve_case; evaluating points
+    # builds none
+    sides = []
+    real_field_coeffs = driver.field_coeffs
+
+    def counted(bc, p, kappa):
+        sides.append(kappa)
+        return real_field_coeffs(bc, p, kappa)
+
+    monkeypatch.setattr(driver, "field_coeffs", counted)
+    case = driver.solve_case(MaterialConfig(), n=25)
+    for k in range(1000):
+        evaluate_point(case, (-1.0, 1.0)[k % 2], (0.0, 0.3, 3.0)[k % 3])
+    assert sorted(sides) == [-1.0, 1.0]
 
 
 # ---------------------------------------------------------------- points
@@ -127,6 +150,20 @@ def test_run_config_rejects_non_finite_range():
             sweep_range[pos] = bad
             with pytest.raises(ConfigError, match="sweep range must be finite"):
                 RunConfig(sweep="nu", sweep_range=tuple(sweep_range))
+
+
+def test_run_config_caps_sweep_size():
+    # the grid is only built after validation, so a tiny step is refused
+    # before a list of that many values exists
+    with pytest.raises(ConfigError, match=r"takes 4e\+11 steps, more than the cap of 10000"):
+        RunConfig(sweep="nu", sweep_range=(0.1, 0.5, 1e-12))
+    # a step count that overflows to inf
+    with pytest.raises(ConfigError, match="takes inf steps"):
+        RunConfig(sweep="speed", sweep_range=(0.1, 0.5, 5e-324))
+    rc = RunConfig(sweep="nu", sweep_range=(0.1, 0.5, 1e-4))
+    assert len(driver._sweep_values(rc.sweep_range)) == 4001
+    # an empty sweep takes no steps whatever its step size
+    assert run_sweep(RunConfig(sweep="nu", sweep_range=(0.5, 0.1, 1e-12)))[1] == []
 
 
 def test_sweep_values_inclusive():

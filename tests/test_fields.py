@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_phi_minus
 from gradedload import (
     ConfigError,
     DegenerateDeterminantError,
@@ -163,8 +164,14 @@ def test_coefficient_relations(case100):
         for j in (0, 1):
             ratio = co.d2[j] / co.d0[j]
             assert ratio == pytest.approx(-p.nu / (2.0 * betas[j]), rel=1e-12)
-            assert abs(co.d1[j]) <= 1e-12 * abs(co.d0[j])
-            assert abs(co.e0[j]) <= 1e-12 * max(abs(co.e1[j]), 1.0)
+    # d1 and e0 are multiples of (Phi_+ C_+ - Phi_- C_-)_j and are not
+    # stored; each component of that bracket vanishes with Phi_- taken from
+    # a dense solve of A_- rather than from the Cramer solve's J Phi_+ J
+    bc = case100.constants
+    plus = bc.phi @ bc.c_plus
+    minus = dense_phi_minus(case100) @ bc.c_minus
+    for j in (0, 1):
+        assert abs(plus[j] - minus[j]) <= 1e-3 * abs(plus[j])
 
 
 def test_coefficients_kappa_gate(case50):
@@ -198,8 +205,7 @@ def test_displacement_power_law(case100):
 
 
 def test_displacement_simplified_form(case100):
-    # u_j = d_j0 |xi - xi0|^{-nu} (1 - nu eta^2 / (2 beta_j)) up to the
-    # vanishing odd coefficients
+    # u_j = d_j0 |xi - xi0|^{-nu} (1 - nu eta^2 / (2 beta_j))
     p = case100.params
     co = case100.coefficients(1.0)
     betas = (p.beta1, p.beta2)
@@ -246,14 +252,53 @@ def test_deep_derivative_formula(case100):
     res = evaluate_point(case100, xi, y)
     du = (res.du1_dxi, res.du2_dxi)
     for j in (0, 1):
-        ref = (co.e0[j] + co.e1[j] * eta ** (p.nu - 1.0)) / (
-            math.pi * (xi - 0.0) * y**p.nu
-        )
+        ref = co.e1[j] * eta ** (p.nu - 1.0) / (math.pi * (xi - 0.0) * y**p.nu)
         assert du[j] == pytest.approx(ref.real, rel=1e-12)
     # the eta^{nu-1} contribution decays as the line goes deeper
     term_3 = abs(co.e1[0]) * (3.0) ** (p.nu - 1.0)
     term_9 = abs(co.e1[0]) * (9.0) ** (p.nu - 1.0)
     assert term_9 < term_3
+
+
+def test_evaluate_point_is_the_written_expansion(case100):
+    # the near and deep expansions written out from d0, d2 and e1 alone, at
+    # a surface, a near and a deep point on each side of the load at xi0 = 0
+    p = case100.params
+    nu, lam0 = p.nu, p.cd2_cs2 - 2.0
+    for xi in (-1.3, 0.7):
+        co = case100.coefficients(math.copysign(1.0, -xi))
+        d0, d2, e1 = co.d0, co.d2, co.e1
+        dist = abs(xi)
+        for y in (0.0, 0.4 * dist, 3.0 * dist):
+            eta = y / dist
+            res = evaluate_point(case100, xi, y)
+            if eta <= 1.0:
+                u = [dist ** (-nu) * (d0[j] + d2[j] * eta**2) for j in (0, 1)]
+                du = [
+                    math.copysign(1.0, xi) * dist ** (-nu - 1.0)
+                    * (-nu * d0[j] - (nu + 2.0) * d2[j] * eta**2)
+                    for j in (0, 1)
+                ]
+                front = eta**nu / dist
+                s = [
+                    front * (-nu * d0[1] + 2.0 * d2[0] * eta - (nu + 2.0) * d2[1] * eta**2),
+                    front * (
+                        -lam0 * nu * d0[0]
+                        + p.cd2_cs2 * 2.0 * d2[1] * eta
+                        - lam0 * (nu + 2.0) * d2[0] * eta**2
+                    ),
+                ]
+                assert res.expansion == "near"
+                assert (res.u1, res.u2) == (u[0].real, u[1].real)
+                assert (res.du1_dxi, res.du2_dxi) == (du[0].real, du[1].real)
+                if y == 0.0:
+                    assert (res.s12, res.s22) == (0.0, 0.0)
+                else:
+                    assert (res.s12, res.s22) == (s[0].real, s[1].real)
+            else:
+                du = [e1[j] * eta ** (nu - 1.0) / (math.pi * xi * y**nu) for j in (0, 1)]
+                assert res.expansion == "deep"
+                assert (res.du1_dxi, res.du2_dxi) == (du[0].real, du[1].real)
 
 
 def test_deep_derivative_realness(case100):
