@@ -18,12 +18,9 @@ from .params import MaterialConfig
 __all__ = ["main", "build_parser", "parse_config_file"]
 
 _MATERIAL_KEYS = ("nu", "nu_p", "speed_ratio", "h1", "h2", "xi0")
-_FLOAT_KEYS = _MATERIAL_KEYS + ("sigma_frac",)
 _LIST_KEYS = ("xi", "y")
 _INT_KEYS = ("n",)
 _STR_KEYS = ("sweep", "sweep_range", "out")
-# value key -> RunConfig field
-_RUN_KEYS = {"n": "n", "sigma_frac": "sigma_fraction"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--y", type=float, action="append",
                         help="query depth (repeatable, pairs with --xi)")
     parser.add_argument("--n", type=int, help="collocation points per unknown")
-    parser.add_argument("--sigma-frac", type=float, dest="sigma_frac",
-                        help="contour offset as a fraction of nu, in (0, 1)")
     parser.add_argument("--sweep", choices=("nu", "speed"),
                         help="sweep axis instead of a single case")
     parser.add_argument("--sweep-range", dest="sweep_range", metavar="A:B:STEP",
@@ -77,7 +72,7 @@ def parse_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         value = value.strip()
         try:
-            if key in _FLOAT_KEYS:
+            if key in _MATERIAL_KEYS:
                 values[key] = float(value)
             elif key in _INT_KEYS:
                 values[key] = int(value)
@@ -104,7 +99,7 @@ def _parse_sweep_range(text: str) -> tuple:
 
 def _merge(args: argparse.Namespace) -> dict:
     values = parse_config_file(args.config) if args.config else {}
-    for key in _FLOAT_KEYS + _LIST_KEYS + _INT_KEYS + _STR_KEYS:
+    for key in _MATERIAL_KEYS + _LIST_KEYS + _INT_KEYS + _STR_KEYS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -114,7 +109,6 @@ def _merge(args: argparse.Namespace) -> dict:
 def _build_run_config(values: dict) -> RunConfig:
     # keys left unset keep the defaults of MaterialConfig and RunConfig
     material = MaterialConfig(**{k: values[k] for k in _MATERIAL_KEYS if k in values})
-    options = {name: values[k] for k, name in _RUN_KEYS.items() if k in values}
     xi_list = [float(v) for v in values.get("xi", [-1.0])]
     y_list = [float(v) for v in values.get("y", [0.0])]
     if len(y_list) == 1 and len(xi_list) > 1:
@@ -130,11 +124,11 @@ def _build_run_config(values: dict) -> RunConfig:
         sweep_range = _parse_sweep_range(sweep_range)
     return RunConfig(
         material=material,
+        n=values.get("n", RunConfig.n),
         points=tuple(zip(xi_list, y_list)),
         sweep=values.get("sweep"),
         sweep_range=sweep_range,
         out=values.get("out"),
-        **options,
     )
 
 

@@ -1,9 +1,10 @@
 """End-to-end case orchestration: solve, evaluate points, sweep, export.
 
 ``solve_case`` runs the whole chain (derived parameters, collocation solve,
-boundary functionals, load constants) once per configuration;
-``evaluate_point`` picks the side of the load a query point lies on and
-evaluates the fields there with :func:`~gradedload.fields.evaluate_fields`.
+boundary functionals, load constants, expansion coefficients) once per
+configuration; ``evaluate_point`` takes the coefficients of the side of the
+load a query point lies on (:meth:`CaseSolution.side`) and evaluates the
+fields there with :func:`~gradedload.fields.evaluate_fields`.
 ``run_sweep`` repeats a case over a grading or speed grid and renders
 deterministic CSV rows.
 """
@@ -56,7 +57,6 @@ class RunConfig:
 
     material: MaterialConfig = field(default_factory=MaterialConfig)
     n: int = 100
-    sigma_fraction: float = 0.25
     points: tuple = ((-1.0, 0.0),)
     sweep: str | None = None
     sweep_range: tuple | None = None
@@ -101,7 +101,9 @@ class RunConfig:
 @dataclass(frozen=True)
 class CaseSolution:
     """Solved configuration with its boundary constants and the expansion
-    coefficients of the sides kappa = sgn(xi0 - xi) = +1 and -1."""
+    coefficients of both sides of the load: ``coeffs_plus`` for
+    kappa = sgn(xi0 - xi) = +1 and ``coeffs_minus`` for kappa = -1.
+    :meth:`side` is the one place that picks the side of a point."""
 
     config: MaterialConfig
     params: DerivedParams
@@ -110,11 +112,9 @@ class CaseSolution:
     coeffs_plus: FieldCoefficients
     coeffs_minus: FieldCoefficients
 
-    def coefficients(self, kappa: float) -> FieldCoefficients:
-        """The stored coefficients of the side ``kappa`` (+1 or -1)."""
-        if kappa not in (1.0, -1.0):
-            raise ConfigError(f"kappa must be +-1, got {kappa}")
-        return self.coeffs_plus if kappa > 0 else self.coeffs_minus
+    def side(self, xi: float) -> FieldCoefficients:
+        """The coefficients of the side of the load that ``xi`` lies on."""
+        return self.coeffs_plus if xi < self.config.xi0 else self.coeffs_minus
 
 
 @dataclass(frozen=True)
@@ -125,23 +125,20 @@ class CaseReport:
     results: tuple
 
 
-def solve_case(
-    material: MaterialConfig,
-    n: int = 100,
-    sigma_fraction: float = 0.25,
-) -> CaseSolution:
+def solve_case(material: MaterialConfig, n: int = 100) -> CaseSolution:
     """Run the solve chain for one configuration."""
-    solution = solve_system(material, n=n, sigma_fraction=sigma_fraction)
+    solution = solve_system(material, n=n)
     p = solution.params
     phi = boundary_phi(solution)
     constants = constants_c(phi, material, p)
+    coeffs_plus, coeffs_minus = field_coeffs(constants, p)
     return CaseSolution(
         config=material,
         params=p,
         solution=solution,
         constants=constants,
-        coeffs_plus=field_coeffs(constants, p, 1.0),
-        coeffs_minus=field_coeffs(constants, p, -1.0),
+        coeffs_plus=coeffs_plus,
+        coeffs_minus=coeffs_minus,
     )
 
 
@@ -152,9 +149,7 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
     deep one for eta >= 2; the gap in between has no valid expansion and
     raises :class:`ExpansionRangeError`.
     """
-    xi0 = case.config.xi0
-    coeffs = case.coeffs_plus if xi < xi0 else case.coeffs_minus
-    return evaluate_fields(coeffs, xi, xi0, y, case.params)
+    return evaluate_fields(case.side(xi), xi, case.config.xi0, y, case.params)
 
 
 def run_case(rc: RunConfig) -> CaseReport:
@@ -163,7 +158,7 @@ def run_case(rc: RunConfig) -> CaseReport:
     Points falling between the two expansion ranges are reported as
     "out-of-range" rather than failing the whole run.
     """
-    case = solve_case(rc.material, n=rc.n, sigma_fraction=rc.sigma_fraction)
+    case = solve_case(rc.material, n=rc.n)
     results = []
     for xi, y in rc.points:
         try:
@@ -211,15 +206,13 @@ def format_report(report: CaseReport) -> str:
     )
     for label, c in (("plus", bc.c_plus), ("minus", bc.c_minus)):
         lines.append(f"constants_{label}: c1={_fmtc(c[0])} c2={_fmtc(c[1])}")
-    # the sides of the query points, in order of first appearance
-    sides = dict.fromkeys(math.copysign(1.0, cfg.xi0 - res.xi) for res in report.results)
     # d1 and e0 vanish through the boundary conditions and the eta^3
-    # coefficient by periodicity; their columns stay in the layout
-    for kappa in sides:
-        co = case.coefficients(kappa)
+    # coefficient by periodicity; their columns stay in the layout.  The
+    # sides of the query points come in order of first appearance.
+    for co in dict.fromkeys(case.side(res.xi) for res in report.results):
         for j in (0, 1):
             lines.append(
-                f"coeffs kappa={kappa:+.0f} j={j + 1}: "
+                f"coeffs kappa={co.kappa:+.0f} j={j + 1}: "
                 f"d0={_fmtc(co.d0[j])} d1=0+0j "
                 f"d2={_fmtc(co.d2[j])} d3=0+0j "
                 f"e0=0+0j e1={_fmtc(co.e1[j])}"
@@ -278,7 +271,7 @@ def run_sweep(rc: RunConfig) -> tuple[list[str], list[list[str]]]:
         else:
             material = replace(rc.material, speed_ratio=value)
         try:
-            case = solve_case(material, n=rc.n, sigma_fraction=rc.sigma_fraction)
+            case = solve_case(material, n=rc.n)
             res = evaluate_point(case, xi, y)
         except ConfigError:
             raise

@@ -6,10 +6,11 @@ From a solved collocation system this module recovers the boundary values
 the determinant ``Delta`` that both share, the load constants ``C_{j +-}``
 and finally the expansion coefficients that give the displacements, their
 tangential derivatives, and the stresses near the surface (small
-eta = y/|xi - xi0|) or at depth (large eta).  The coefficients are built
-once per side of the load; the fields at a point come from one function,
-:func:`evaluate_fields`, on Python floats and complex numbers only, which
-the public entry point :func:`gradedload.driver.evaluate_point` calls.
+eta = y/|xi - xi0|) or at depth (large eta).  The coefficients of both
+sides of the load are built in one call per case; the fields at a point
+come from one function, :func:`evaluate_fields`, on Python floats and
+complex numbers only, which the public entry point
+:func:`gradedload.driver.evaluate_point` calls.
 
 Physical outputs are real; the computed complex values carry a small
 imaginary residue from the discretization, which is recorded and projected
@@ -150,9 +151,10 @@ def constants_c(
 
 @dataclass(frozen=True)
 class FieldCoefficients:
-    """Expansion coefficients for one side of the load (one kappa).
+    """Expansion coefficients for one side of the load.
 
-    ``d0`` and ``d2`` drive the near-surface displacement expansion
+    ``kappa = sgn(xi0 - xi)`` names the side and labels it in the text
+    report.  ``d0`` and ``d2`` drive the near-surface displacement expansion
     ``d0 + d2 eta^2``, ``e1`` the deep expansion of the tangential
     derivative, each a pair of Python ``complex`` indexed by component
     (j - 1).  The odd coefficient ``d1`` and the deep constant ``e0`` are
@@ -168,29 +170,34 @@ class FieldCoefficients:
 
 
 def field_coeffs(
-    bc: BoundaryConstants, p: DerivedParams, kappa: float
-) -> FieldCoefficients:
-    """Expansion coefficients on the side ``kappa = sgn(xi0 - xi)``."""
-    if kappa not in (1.0, -1.0):
-        raise ConfigError(f"kappa must be +-1, got {kappa}")
-    kappa = float(kappa)
+    bc: BoundaryConstants, p: DerivedParams
+) -> tuple[FieldCoefficients, FieldCoefficients]:
+    """Expansion coefficients of both sides of the load, ``(plus, minus)``.
+
+    ``plus`` belongs to the side xi < xi0, ``kappa = sgn(xi0 - xi) = +1``,
+    and ``minus`` to the side xi > xi0, kappa = -1.
+    """
     nu = p.nu
-    turn = np.exp(1j * np.pi * kappa * nu / 2.0)
     lead = math.gamma(nu / 2.0) * 2.0 ** (nu - 1.0) / (
         np.pi ** 1.5 * math.cos(np.pi * nu / 2.0)
     )
-    # per component, the two sign variants' constants turned by +-pi nu/2
-    mix = [turn * bc.c_plus[k] + bc.c_minus[k] / turn for k in (0, 1)]
-    d0, d2, e1 = [], [], []
-    for j, beta_j in ((1, p.beta1), (2, p.beta2)):
-        d0_j = lead * mix[j - 1]
-        d0.append(complex(d0_j))
-        d2.append(complex(-nu * d0_j / (2.0 * beta_j)))
-        e1.append(complex(
-            -2.0 * kappa / np.pi * coeff_b(j, 1.0, p) * math.sqrt(beta_j)
-            * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0) * mix[2 - j]
-        ))
-    return FieldCoefficients(kappa=kappa, d0=tuple(d0), d2=tuple(d2), e1=tuple(e1))
+
+    def side(kappa: float) -> FieldCoefficients:
+        turn = np.exp(1j * np.pi * kappa * nu / 2.0)
+        # per component, the two sign variants' constants turned by +-pi nu/2
+        mix = [turn * bc.c_plus[k] + bc.c_minus[k] / turn for k in (0, 1)]
+        d0, d2, e1 = [], [], []
+        for j, beta_j in ((1, p.beta1), (2, p.beta2)):
+            d0_j = lead * mix[j - 1]
+            d0.append(complex(d0_j))
+            d2.append(complex(-nu * d0_j / (2.0 * beta_j)))
+            e1.append(complex(
+                -2.0 * kappa / np.pi * coeff_b(j, 1.0, p) * math.sqrt(beta_j)
+                * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0) * mix[2 - j]
+            ))
+        return FieldCoefficients(kappa=kappa, d0=tuple(d0), d2=tuple(d2), e1=tuple(e1))
+
+    return side(1.0), side(-1.0)
 
 
 @dataclass(frozen=True)
@@ -245,7 +252,7 @@ def evaluate_fields(
     Raises
     ------
     ConfigError
-        If y < 0.
+        If xi or y is not finite, or y < 0.
     SingularPointError
         At the load point xi = xi0, where the expansions diverge.
     ExpansionRangeError
@@ -253,6 +260,9 @@ def evaluate_fields(
     RealnessError
         If a projected pair keeps an imaginary residue above 1e-2.
     """
+    if not (math.isfinite(xi) and math.isfinite(y)):
+        name, value = ("y", y) if math.isfinite(xi) else ("xi", xi)
+        raise ConfigError(f"query coordinate {name} must be finite, got {value}")
     if y < 0.0:
         raise ConfigError(f"depth coordinate y must be >= 0, got {y}")
     dist = abs(xi - xi0)

@@ -13,14 +13,18 @@ kernel near the fixed singularity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, OscillationRegimeError, SubsonicViolation
 
-__all__ = ["MU0", "MaterialConfig", "DerivedParams", "derive_params"]
+__all__ = ["MU0", "SIGMA_FRACTION", "MaterialConfig", "DerivedParams", "derive_params"]
 
 # shear modulus at unit depth; all stresses and loads are scaled by it
 MU0 = 1.0
+# the Mellin inversion strip Re s = sigma sits at this fraction of nu; the
+# problem does not depend on where in (0, nu) it sits, and A2 checks the
+# discrete determinant at nu/4 against nu/2
+SIGMA_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,9 @@ class MaterialConfig:
         Tangential and normal point-load amplitudes divided by mu0.
     xi0 : float
         Load position in the moving frame.
+
+    Each field is stored as a Python ``float``, whatever real type it was
+    given as.
     """
 
     nu: float = 0.1
@@ -63,6 +70,9 @@ class MaterialConfig:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
+        # numpy scalars would carry numpy arithmetic into every later stage
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -118,16 +128,15 @@ def _oscillation_shift(beta: float, lam1: float, lam2: float) -> tuple[float, fl
     return r, l
 
 
-def derive_params(config: MaterialConfig, sigma_fraction: float = 0.25) -> DerivedParams:
+def derive_params(config: MaterialConfig) -> DerivedParams:
     """Compute all derived parameters for a configuration.
+
+    The inversion strip is fixed at ``sigma = SIGMA_FRACTION * nu``; the
+    rest of the pipeline reads it only as ``DerivedParams.sigma``.
 
     Parameters
     ----------
     config : MaterialConfig
-    sigma_fraction : float
-        Position of the inversion strip, sigma = sigma_fraction * nu.
-        Must lie strictly inside (0, 1); results are insensitive to the
-        choice (the default nu/4 matches the reference computations).
 
     Returns
     -------
@@ -137,10 +146,6 @@ def derive_params(config: MaterialConfig, sigma_fraction: float = 0.25) -> Deriv
     ------
     ConfigError, SubsonicViolation, OscillationRegimeError
     """
-    if not (0.0 < sigma_fraction < 1.0):
-        raise ConfigError(
-            f"sigma_fraction must lie in (0, 1), got {sigma_fraction}"
-        )
     nu = config.nu
     cd2_cs2 = 2.0 * (1.0 - config.nu_p) / (1.0 - 2.0 * config.nu_p)
     a_s = 1.0 / config.speed_ratio
@@ -157,7 +162,7 @@ def derive_params(config: MaterialConfig, sigma_fraction: float = 0.25) -> Deriv
     r, l = _oscillation_shift(beta, lam1, lam2)
     delta1_minus = eps / 2.0 + l
     delta1_plus = -eps / 2.0 + l
-    sigma = sigma_fraction * nu
+    sigma = SIGMA_FRACTION * nu
     gam = math.gamma((1.0 - nu) / 2.0)
     gamma1 = gam / (MU0 * 2.0 ** (nu + 1.0) * beta1 ** ((nu - 1.0) / 2.0))
     gamma2 = gam / (cd2_cs2 * MU0 * 2.0 ** (nu + 1.0) * beta2 ** ((nu - 1.0) / 2.0))

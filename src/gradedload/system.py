@@ -181,22 +181,19 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
     )
 
 
-def assemble_rhs(d: Discretization, p: DerivedParams, m: int) -> np.ndarray:
-    """Forcing vector for load component m in {1, 2}.
+def assemble_rhs(d: Discretization, p: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
+    """Forcing of both load components as the stacks ``block_solve`` takes.
 
-    Only the two equation groups belonging to component m are forced:
-    rows of the first family get ``-f(x_k)`` and rows of the second family
-    ``conj(f(x_k))``.
+    Returns ``rhs_a = [r1; r2]`` and ``rhs_b = [r3; r4]``, each of shape
+    ``(2N, 2)`` with column m - 1 for load component m.  Component m forces
+    only its own two equation groups, m = 1 those of ``rhs_a`` and m = 2
+    those of ``rhs_b``: rows of the first family get ``-f(x_k)`` and rows
+    of the second family ``conj(f(x_k))``.
     """
-    if m not in (1, 2):
-        raise ConfigError(f"load component m must be 1 or 2, got {m}")
-    n = d.n
     f = rhs_f(d.nodes[1:], p.sigma)
-    rhs = np.zeros(4 * n, dtype=complex)
-    offset = 0 if m == 1 else 2 * n
-    rhs[offset:offset + n] = -f
-    rhs[offset + n:offset + 2 * n] = np.conj(f)
-    return rhs
+    forced = np.concatenate([-f, np.conj(f)])
+    zero = np.zeros_like(forced)
+    return np.stack([forced, zero], axis=1), np.stack([zero, forced], axis=1)
 
 
 def _require_divisors(block: str, what: str, values: np.ndarray) -> None:
@@ -277,11 +274,7 @@ class SIESolution:
     residuals: dict
 
 
-def solve_system(
-    config: MaterialConfig,
-    n: int = 100,
-    sigma_fraction: float = 0.25,
-) -> SIESolution:
+def solve_system(config: MaterialConfig, n: int = 100) -> SIESolution:
     """Assemble and solve the collocation system end to end.
 
     Both load components are solved at once (see :func:`block_solve`), and
@@ -291,14 +284,14 @@ def solve_system(
     -------
     SIESolution
     """
-    p = derive_params(config, sigma_fraction)
+    p = derive_params(config)
     d = build_grid(n, p)
     bs = block_system(d, p)
-    rhs = np.stack([assemble_rhs(d, p, m) for m in (1, 2)], axis=1)
-    u, v = block_solve(bs, rhs[:2 * n], rhs[2 * n:])
+    rhs_a, rhs_b = assemble_rhs(d, p)
+    u, v = block_solve(bs, rhs_a, rhs_b)
     au, av = bs.apply(u, v)
     res = np.maximum(
-        np.abs(au - rhs[:2 * n]).max(axis=0), np.abs(av - rhs[2 * n:]).max(axis=0)
-    ) / np.abs(rhs).max(axis=0)
+        np.abs(au - rhs_a).max(axis=0), np.abs(av - rhs_b).max(axis=0)
+    ) / np.maximum(np.abs(rhs_a).max(axis=0), np.abs(rhs_b).max(axis=0))
     residuals = {m: float(res[m - 1]) for m in (1, 2)}
     return SIESolution(params=p, disc=d, f1=u, f2=v, residuals=residuals)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import gradedload.system
 from gradedload import MaterialConfig, solve_case
 from gradedload.fields import boundary_phi
 from gradedload.kernels import kernel_g
@@ -27,19 +28,29 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def cached_case(n: int = 100, sigma_fraction: float = 0.25, **material):
-    """Solve (or reuse) a case; keyed by grid size, contour, and material."""
-    key = (n, sigma_fraction, tuple(sorted(material.items())))
+def cached_case(n: int = 100, **material):
+    """Solve (or reuse) a case; keyed by grid size and material."""
+    key = (n, tuple(sorted(material.items())))
     if key not in _CACHE:
-        _CACHE[key] = solve_case(
-            MaterialConfig(**material), n=n, sigma_fraction=sigma_fraction
-        )
+        _CACHE[key] = solve_case(MaterialConfig(**material), n=n)
     return _CACHE[key]
 
 
-@pytest.fixture(scope="session")
-def case_factory():
-    return cached_case
+def half_offset_case(n: int = 100):
+    """The default material solved (or reused) with the inversion strip at
+    sigma = nu/2 instead of the fixed SIGMA_FRACTION * nu."""
+    key = ("sigma = nu/2", n)
+    if key not in _CACHE:
+        derive_params = gradedload.system.derive_params
+
+        def shifted(config):
+            p = derive_params(config)
+            return dataclasses.replace(p, sigma=0.5 * p.nu)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gradedload.system, "derive_params", shifted)
+            _CACHE[key] = solve_case(MaterialConfig(), n=n)
+    return _CACHE[key]
 
 
 @pytest.fixture(scope="session")
@@ -105,7 +116,7 @@ def dense_phi_minus(case) -> np.ndarray:
     "+" sign and the load forcing F; the "-" variant has -Q - F.
     """
     d, p, n = case.solution.disc, case.params, case.solution.disc.n
-    rhs = np.stack([assemble_rhs(d, p, m) for m in (1, 2)], axis=1)
+    rhs = np.concatenate(assemble_rhs(d, p))
     x = sla.solve(dense_matrix(d, p, -1), -rhs)
     solved = dataclasses.replace(case.solution, f1=x[:2 * n], f2=x[2 * n:])
     forcing = np.eye(2) / math.cos(math.pi * p.nu / 2.0)

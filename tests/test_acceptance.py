@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import gradedload.system
-from conftest import ACCEPTANCE_LINES, cached_case, dense_phi_minus
+from conftest import ACCEPTANCE_LINES, cached_case, dense_phi_minus, half_offset_case
 from gradedload import (
     MaterialConfig,
     RunConfig,
@@ -75,7 +75,7 @@ def test_a1_determinant_reference_values():
 
 
 def test_a2_contour_shift_invariance():
-    case = solve_case(MaterialConfig(), n=100, sigma_fraction=0.5)
+    case = half_offset_case(n=100)
     delta = case.constants.delta_plus
     d_re = abs(delta.real - DELTA_HALF_SHIFT.real)
     d_im = abs(delta.imag - DELTA_HALF_SHIFT.imag)
@@ -132,7 +132,7 @@ def test_a3a_exact_symmetry_relations():
     )
 
 
-def _other_root(config: MaterialConfig, sigma_fraction: float = 0.25):
+def _other_root(config: MaterialConfig):
     """Derived parameters of ``config`` at the root ``-l`` of ``cosh(2 pi l) = r``.
 
     Every matching condition is even in ``l``: ``cosh(2 pi l) = r``, the
@@ -141,7 +141,7 @@ def _other_root(config: MaterialConfig, sigma_fraction: float = 0.25):
     ``delta1^-+ = +-eps/2 - l``; the second family takes the same two
     exponents crosswise through the block layout.
     """
-    p = derive_params(config, sigma_fraction)
+    p = derive_params(config)
     return dataclasses.replace(
         p,
         l_param=-p.l_param,

@@ -41,6 +41,19 @@ def test_oversized_sweep_refused(capsys, monkeypatch):
     assert err.startswith("ConfigError: sweep range") and "cap of 10000" in err
 
 
+def test_non_finite_query_point_exit_code(capsys):
+    # a single case and a sweep both refuse the point by name
+    assert main(["--n", "25", "--xi", "nan"]) == 2
+    assert "ConfigError: query coordinate xi must be finite, got nan" in capsys.readouterr().err
+    assert main(["--n", "25", "--y", "inf"]) == 2
+    assert "ConfigError: query coordinate y must be finite, got inf" in capsys.readouterr().err
+    argv = ["--n", "25", "--sweep", "nu", "--sweep-range", "0.1:0.3:0.1", "--xi", "nan"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ConfigError: query coordinate xi must be finite, got nan" in captured.err
+
+
 def test_build_run_config_keeps_class_defaults():
     assert cli._build_run_config({}) == RunConfig()
 

@@ -16,7 +16,7 @@ from gradedload import (
     run_case,
     run_sweep,
 )
-from gradedload.driver import csv_text, format_report, write_csv
+from gradedload.driver import _fmtc, csv_text, format_report, write_csv
 
 
 # ---------------------------------------------------------------- solve_case
@@ -28,31 +28,33 @@ def test_solve_case_contents(case25):
     assert case25.solution.disc.n == 25
     assert case25.params.nu == 0.1
     assert case25.constants.c_plus.shape == (2,)
-    assert case25.coefficients(1.0) is case25.coeffs_plus
-    assert case25.coefficients(-1.0) is case25.coeffs_minus
+    # kappa = sgn(xi0 - xi) with the load at xi0 = 0; xi = xi0 itself, a
+    # singular point for the fields, falls to the "-" side
+    assert case25.side(-1.0) is case25.coeffs_plus
+    assert case25.side(1.0) is case25.coeffs_minus
+    assert case25.side(0.0) is case25.coeffs_minus
     assert (case25.coeffs_plus.kappa, case25.coeffs_minus.kappa) == (1.0, -1.0)
     for co in (case25.coeffs_plus, case25.coeffs_minus):
         for pair in (co.d0, co.d2, co.e1):
             assert len(pair) == 2 and all(type(v) is complex for v in pair)
-    with pytest.raises(ConfigError):
-        case25.coefficients(0.5)
 
 
 def test_coefficients_built_once_per_case(monkeypatch):
-    # both sides' coefficients come from solve_case; evaluating points
-    # builds none
-    sides = []
+    # both sides' coefficients come from one call in solve_case; evaluating
+    # points builds none
+    built = []
     real_field_coeffs = driver.field_coeffs
 
-    def counted(bc, p, kappa):
-        sides.append(kappa)
-        return real_field_coeffs(bc, p, kappa)
+    def counted(bc, p):
+        built.append(real_field_coeffs(bc, p))
+        return built[-1]
 
     monkeypatch.setattr(driver, "field_coeffs", counted)
     case = driver.solve_case(MaterialConfig(), n=25)
     for k in range(1000):
         evaluate_point(case, (-1.0, 1.0)[k % 2], (0.0, 0.3, 3.0)[k % 3])
-    assert sorted(sides) == [-1.0, 1.0]
+    assert built == [(case.coeffs_plus, case.coeffs_minus)]
+    assert [co.kappa for co in built[0]] == [1.0, -1.0]
 
 
 # ---------------------------------------------------------------- points
@@ -121,6 +123,33 @@ def test_format_report_sections():
         "point xi=1 y=0.3 eta=0.3 [near]:",
     ):
         assert token in text, token
+
+
+def test_format_report_sides_off_zero():
+    # load at xi0 = 0.5: xi = 0.2 lies on the kappa = +1 side and xi = 0.8
+    # on the kappa = -1 side; each side prints its own stored set, the
+    # sides in order of first appearance
+    material = MaterialConfig(xi0=0.5)
+
+    def coeff_lines(xis):
+        report = run_case(RunConfig(material=material, n=25, points=tuple((xi, 0.0) for xi in xis)))
+        text = format_report(report)
+        return report.case, [line for line in text.splitlines() if line.startswith("coeffs ")]
+
+    def written(label, co):
+        return [
+            f"coeffs kappa={label} j={j + 1}: d0={_fmtc(co.d0[j])} d1=0+0j "
+            f"d2={_fmtc(co.d2[j])} d3=0+0j e0=0+0j e1={_fmtc(co.e1[j])}"
+            for j in (0, 1)
+        ]
+
+    case, lines = coeff_lines((0.2, 0.8))
+    assert case.coeffs_plus.d0 != case.coeffs_minus.d0
+    plus, minus = written("+1", case.coeffs_plus), written("-1", case.coeffs_minus)
+    assert lines == plus + minus
+    assert coeff_lines((0.8, 0.2, 0.8))[1] == minus + plus
+    # only points with xi > xi0: no kappa = +1 line
+    assert coeff_lines((0.8, 0.9))[1] == minus
 
 
 # ---------------------------------------------------------------- run config
@@ -242,11 +271,11 @@ def test_sweep_error_column(monkeypatch):
     calls = []
     real_solve_case = driver.solve_case
 
-    def flaky(material, n=100, sigma_fraction=0.25):
+    def flaky(material, n=100):
         calls.append(material.nu)
         if abs(material.nu - 0.2) < 1e-12:
             raise DegenerateDeterminantError("synthetic failure")
-        return real_solve_case(material, n=n, sigma_fraction=sigma_fraction)
+        return real_solve_case(material, n=n)
 
     monkeypatch.setattr(driver, "solve_case", flaky)
     rc = RunConfig(n=25, sweep="nu", sweep_range=(0.1, 0.3, 0.1))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_phi_minus
+from conftest import dense_phi_minus, half_offset_case
 from gradedload import (
     ConfigError,
     DegenerateDeterminantError,
@@ -14,7 +14,7 @@ from gradedload import (
     SingularPointError,
     evaluate_point,
 )
-from gradedload.fields import boundary_phi, constants_c, field_coeffs
+from gradedload.fields import boundary_phi, constants_c
 from gradedload.system import SIESolution
 
 # regression values from this implementation (cross-checked against the
@@ -158,8 +158,7 @@ def test_constants_conjugate_within_discretization_error(case100):
 
 def test_coefficient_relations(case100):
     p = case100.params
-    for kappa in (1.0, -1.0):
-        co = case100.coefficients(kappa)
+    for co in (case100.coeffs_plus, case100.coeffs_minus):
         betas = (p.beta1, p.beta2)
         for j in (0, 1):
             ratio = co.d2[j] / co.d0[j]
@@ -174,21 +173,16 @@ def test_coefficient_relations(case100):
         assert abs(plus[j] - minus[j]) <= 1e-3 * abs(plus[j])
 
 
-def test_coefficients_kappa_gate(case50):
-    with pytest.raises(ConfigError):
-        field_coeffs(case50.constants, case50.params, 0.5)
-
-
-def test_contour_shift_invariance(case100, case_factory):
+def test_contour_shift_invariance(case100):
     # moving the inversion contour must not move the physics
-    other = case_factory(n=100, sigma_fraction=0.5)
+    other = half_offset_case(n=100)
     a, b = case100.constants, other.constants
     assert abs(a.delta_plus - b.delta_plus) <= 6e-3 * abs(a.delta_plus)
     for j in (0, 1):
         assert abs(a.c_plus[j] - b.c_plus[j]) <= 6e-3 * abs(a.c_plus[j])
         assert abs(a.c_minus[j] - b.c_minus[j]) <= 6e-3 * abs(a.c_minus[j])
-    coa = case100.coefficients(1.0)
-    cob = other.coefficients(1.0)
+    coa = case100.coeffs_plus
+    cob = other.coeffs_plus
     for j in (0, 1):
         assert abs(coa.d0[j] - cob.d0[j]) <= 6e-3 * abs(coa.d0[j])
 
@@ -207,7 +201,7 @@ def test_displacement_power_law(case100):
 def test_displacement_simplified_form(case100):
     # u_j = d_j0 |xi - xi0|^{-nu} (1 - nu eta^2 / (2 beta_j))
     p = case100.params
-    co = case100.coefficients(1.0)
+    co = case100.coeffs_plus
     betas = (p.beta1, p.beta2)
     for y in (0.0, 0.3, 0.8):
         eta = y / 1.0
@@ -233,7 +227,7 @@ def test_stress_surface_zero(case100):
 
 def test_stress_vanishes_like_eta_power(case100):
     p = case100.params
-    co = case100.coefficients(1.0)
+    co = case100.coeffs_plus
     lam0 = p.cd2_cs2 - 2.0
     for y in (1e-6, 1e-4):
         eta = y / 1.0
@@ -246,7 +240,7 @@ def test_stress_vanishes_like_eta_power(case100):
 
 def test_deep_derivative_formula(case100):
     p = case100.params
-    co = case100.coefficients(1.0)
+    co = case100.coeffs_plus
     xi, y = -1.0, 3.0
     eta = y / abs(xi)
     res = evaluate_point(case100, xi, y)
@@ -266,7 +260,7 @@ def test_evaluate_point_is_the_written_expansion(case100):
     p = case100.params
     nu, lam0 = p.nu, p.cd2_cs2 - 2.0
     for xi in (-1.3, 0.7):
-        co = case100.coefficients(math.copysign(1.0, -xi))
+        co = case100.coeffs_plus if xi < 0.0 else case100.coeffs_minus
         d0, d2, e1 = co.d0, co.d2, co.e1
         dist = abs(xi)
         for y in (0.0, 0.4 * dist, 3.0 * dist):
@@ -318,6 +312,16 @@ def test_expansion_range_gates(case50):
         evaluate_point(case50, 0.0, 0.0)
     with pytest.raises(ConfigError):
         evaluate_point(case50, -1.0, -0.1)
+
+
+def test_non_finite_query_point_refused(case50):
+    # refused by name before any expansion is tried, on either coordinate
+    for xi, y, name in (
+        (math.nan, 0.0, "xi"), (math.inf, 0.0, "xi"), (-math.inf, 0.3, "xi"),
+        (-1.0, math.nan, "y"), (-1.0, math.inf, "y"),
+    ):
+        with pytest.raises(ConfigError, match=f"{name} must be finite, got -?(nan|inf)"):
+            evaluate_point(case50, xi, y)
 
 
 def test_fore_aft_asymmetry(case100):

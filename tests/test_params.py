@@ -7,6 +7,7 @@ regression in test_acceptance.py.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from gradedload import (
     OscillationRegimeError,
     SubsonicViolation,
 )
-from gradedload.params import _oscillation_shift, derive_params
+from gradedload.params import SIGMA_FRACTION, _oscillation_shift, derive_params
 
 # frozen: nu_P = 0.3, V/c_s = 0.2 (mpmath, 30 dps)
 BETA1 = 0.28901734104046243
@@ -91,9 +92,10 @@ def test_gamma_amplitudes(params_default):
 
 
 def test_sigma_default(params_default):
+    assert SIGMA_FRACTION == 0.25
     assert params_default.sigma == pytest.approx(0.025, rel=1e-15)
-    p = derive_params(MaterialConfig(nu=0.4), sigma_fraction=0.5)
-    assert p.sigma == pytest.approx(0.2, rel=1e-15)
+    p = derive_params(MaterialConfig(nu=0.4))
+    assert p.sigma == pytest.approx(0.1, rel=1e-15)
     assert 0.0 < p.sigma < p.nu
 
 
@@ -124,11 +126,19 @@ def test_config_gates():
         MaterialConfig(xi0=math.nan)
 
 
-def test_sigma_fraction_gate():
-    with pytest.raises(ConfigError):
-        derive_params(MaterialConfig(), sigma_fraction=0.0)
-    with pytest.raises(ConfigError):
-        derive_params(MaterialConfig(), sigma_fraction=1.0)
+def test_numpy_scalars_stored_as_float():
+    # numpy scalars would carry numpy arithmetic into every later stage;
+    # the checks still run on the value as given, so a string still fails
+    given_values = dict(nu=0.3, nu_p=0.25, speed_ratio=0.4, h1=-1.0, h2=0.5, xi0=0.1)
+    config = MaterialConfig(**{k: np.float64(v) for k, v in given_values.items()})
+    for name, value in given_values.items():
+        stored = getattr(config, name)
+        assert type(stored) is float and stored == value
+    assert config == MaterialConfig(**given_values)
+    p = derive_params(config)
+    assert type(p.nu) is float and type(p.sigma) is float
+    with pytest.raises(TypeError):
+        MaterialConfig(nu="0.3")
 
 
 def test_parameter_grid_identities():

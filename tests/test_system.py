@@ -150,22 +150,19 @@ def test_singular_block_row_sums(disc16, p01):
 
 
 def test_rhs_structure(disc16, p01):
+    # one column per load component; component 1 forces the rows of
+    # rhs_a, component 2 those of rhs_b
     n = disc16.n
     f = rhs_f(disc16.nodes[1:], p01.sigma)
-    r = assemble_rhs(disc16, p01, 1)
+    rhs_a, rhs_b = assemble_rhs(disc16, p01)
+    assert rhs_a.shape == rhs_b.shape == (2 * n, 2)
+    r = rhs_a[:, 0]
     assert np.array_equal(r[0:n], -f)
     assert np.array_equal(r[n:2 * n], np.conj(-r[0:n]))
-    assert np.all(r[2 * n:] == 0.0)
-    r2 = assemble_rhs(disc16, p01, 2)
-    assert np.all(r2[0:2 * n] == 0.0)
-    assert np.array_equal(r2[2 * n:3 * n], -f)
-    assert np.array_equal(r2[3 * n:4 * n], np.conj(f))
-
-
-def test_rhs_gates(disc16, p01):
-    for m in (0, 3):
-        with pytest.raises(ConfigError):
-            assemble_rhs(disc16, p01, m)
+    assert np.all(rhs_b[:, 0] == 0.0)
+    assert np.all(rhs_a[:, 1] == 0.0)
+    assert np.array_equal(rhs_b[0:n, 1], -f)
+    assert np.array_equal(rhs_b[n:2 * n, 1], np.conj(f))
 
 
 # ---------------------------------------------------------------- solve
@@ -238,11 +235,12 @@ def test_dense_oracle_both_variants():
         sol = solve_system(MaterialConfig(), n=n)
         d, p = sol.disc, sol.params
         j = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
+        rhs = np.concatenate(assemble_rhs(d, p))
         for sign in (1, -1):
             a = dense_matrix(d, p, sign)
             for m, flip in ((1, 1.0), (2, -1.0)):
                 # the "-" variant negates the forcing as well
-                ref = sla.solve(a, sign * assemble_rhs(d, p, m))
+                ref = sla.solve(a, sign * rhs[:, m - 1])
                 got = np.concatenate([sol.f1[:, m - 1], sol.f2[:, m - 1]])
                 if sign == -1:
                     got = flip * j * got
