@@ -28,7 +28,6 @@ from .errors import (
     ExpansionRangeError,
     GradedLoadError,
     OscillationRegimeError,
-    PoleError,
     RealnessError,
     SingularMatrixError,
     SingularPointError,
@@ -53,7 +52,6 @@ __all__ = [
     "SingularPointError",
     "ExpansionRangeError",
     "OscillationRegimeError",
-    "PoleError",
     "SingularMatrixError",
     "DegenerateDeterminantError",
     "RealnessError",

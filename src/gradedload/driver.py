@@ -20,6 +20,7 @@ from .fields import (
     FieldCoefficients,
     FieldResult,
     boundary_phi,
+    check_point,
     constants_c,
     evaluate_fields,
     field_coeffs,
@@ -49,7 +50,9 @@ _MAX_SWEEP_STEPS = 10_000
 class RunConfig:
     """Everything one invocation needs.
 
-    ``points`` are (xi, y) query pairs.  For sweeps, ``sweep`` is "nu" or
+    ``points`` are (xi, y) query pairs, each checked against
+    :func:`~gradedload.fields.check_point` here, before any solve; a sweep
+    evaluates only the first.  For sweeps, ``sweep`` is "nu" or
     "speed" and ``sweep_range`` is (start, stop, step); the grid includes
     ``stop`` when a whole number of steps reaches it, up to float drift, and
     never goes past it.
@@ -96,6 +99,8 @@ class RunConfig:
                     )
         if not self.points:
             raise ConfigError("at least one query point is required")
+        for xi, y in self.points:
+            check_point(xi, y, self.material.xi0)
 
 
 @dataclass(frozen=True)
@@ -200,22 +205,15 @@ def format_report(report: CaseReport) -> str:
         )
     )
     lines.append(f"grid: n={case.solution.disc.n}")
-    lines.append(
-        f"determinant: delta_plus={_fmtc(bc.delta_plus)} "
-        f"delta_minus={_fmtc(bc.delta_minus)}"
-    )
+    lines.append(f"determinant: delta_plus={_fmtc(bc.delta_plus)}")
     for label, c in (("plus", bc.c_plus), ("minus", bc.c_minus)):
         lines.append(f"constants_{label}: c1={_fmtc(c[0])} c2={_fmtc(c[1])}")
-    # d1 and e0 vanish through the boundary conditions and the eta^3
-    # coefficient by periodicity; their columns stay in the layout.  The
-    # sides of the query points come in order of first appearance.
+    # the sides of the query points come in order of first appearance
     for co in dict.fromkeys(case.side(res.xi) for res in report.results):
         for j in (0, 1):
             lines.append(
                 f"coeffs kappa={co.kappa:+.0f} j={j + 1}: "
-                f"d0={_fmtc(co.d0[j])} d1=0+0j "
-                f"d2={_fmtc(co.d2[j])} d3=0+0j "
-                f"e0=0+0j e1={_fmtc(co.e1[j])}"
+                f"d0={_fmtc(co.d0[j])} d2={_fmtc(co.d2[j])} e1={_fmtc(co.e1[j])}"
             )
     for res in report.results:
         parts = [

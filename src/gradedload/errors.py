@@ -13,7 +13,6 @@ __all__ = [
     "SingularPointError",
     "ExpansionRangeError",
     "OscillationRegimeError",
-    "PoleError",
     "SingularMatrixError",
     "DegenerateDeterminantError",
     "RealnessError",
@@ -42,10 +41,6 @@ class ExpansionRangeError(ConfigError):
 
 class OscillationRegimeError(GradedLoadError):
     """Oscillation exponents have no real solution (r < 1)."""
-
-
-class PoleError(GradedLoadError):
-    """Gamma function evaluated at a non-positive integer."""
 
 
 class SingularMatrixError(GradedLoadError):

@@ -42,6 +42,7 @@ __all__ = [
     "boundary_phi",
     "constants_c",
     "field_coeffs",
+    "check_point",
     "NEAR_ETA_MAX",
     "DEEP_ETA_MIN",
 ]
@@ -77,7 +78,7 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
     d = sol.disc
     n = d.n
     nu = p.nu
-    xn = d.nodes[1:]
+    xn = d.colloc
     phase = np.exp(-1j * np.pi * (p.sigma - nu) / 2.0)
     den_plus = xn * phase + 1.0 / phase
     den_minus = xn / phase + phase
@@ -94,15 +95,14 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
 class BoundaryConstants:
     """Boundary functionals of both sign variants with their load constants.
 
-    ``phi`` is the solved "+" matrix ``Phi_+`` and ``phi_minus`` the derived
-    ``Phi_- = J Phi_+ J``, both indexed by (j - 1, m - 1).  Their
-    determinants are equal, ``delta_minus == delta_plus``.
+    ``phi`` is the solved "+" matrix ``Phi_+``, indexed by (j - 1, m - 1);
+    the "-" matrix ``Phi_- = J Phi_+ J`` is not stored.  Their determinants
+    are equal, ``delta_minus == delta_plus``.
     ``c_plus``/``c_minus`` hold (C_1, C_2) for the two variants; each pair
     solves the 2x2 system  Phi_j^(1) C_1 + Phi_j^(2) C_2 = gamma_j H_j.
     """
 
     phi: np.ndarray
-    phi_minus: np.ndarray
     delta_plus: complex
     delta_minus: complex
     c_plus: np.ndarray
@@ -129,7 +129,6 @@ def constants_c(
         raise DegenerateDeterminantError(
             f"|Delta_+| = {abs(delta):.3e} below floor {_DELTA_FLOOR}"
         )
-    phi_minus = np.where(_OFF_DIAGONAL, -phi, phi)
     g1h1 = p.gamma1 * config.h1
     g2h2 = p.gamma2 * config.h2
 
@@ -141,11 +140,10 @@ def constants_c(
 
     return BoundaryConstants(
         phi=phi,
-        phi_minus=phi_minus,
         delta_plus=delta,
         delta_minus=delta,
         c_plus=cramer(phi),
-        c_minus=cramer(phi_minus),
+        c_minus=cramer(np.where(_OFF_DIAGONAL, -phi, phi)),
     )
 
 
@@ -238,6 +236,29 @@ def _project(a: complex, b: complex) -> tuple[float, float, float]:
     return a.real, b.real, residue
 
 
+def check_point(xi: float, y: float, xi0: float) -> None:
+    """Refuse a query point at which no expansion can be evaluated.
+
+    The one point rule: xi and y finite, y >= 0 and xi != xi0.  Both
+    :class:`gradedload.driver.RunConfig` and :func:`evaluate_fields` apply
+    it, so a bad point is refused before any solve.
+
+    Raises
+    ------
+    ConfigError
+        If xi or y is not finite, or y < 0.
+    SingularPointError
+        At the load point xi = xi0, where the expansions diverge.
+    """
+    if not (math.isfinite(xi) and math.isfinite(y)):
+        name, value = ("y", y) if math.isfinite(xi) else ("xi", xi)
+        raise ConfigError(f"query coordinate {name} must be finite, got {value}")
+    if y < 0.0:
+        raise ConfigError(f"depth coordinate y must be >= 0, got {y}")
+    if xi == xi0:
+        raise SingularPointError("field expansions diverge at the load point xi = xi0")
+
+
 def evaluate_fields(
     coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
 ) -> FieldResult:
@@ -252,22 +273,15 @@ def evaluate_fields(
     Raises
     ------
     ConfigError
-        If xi or y is not finite, or y < 0.
-    SingularPointError
-        At the load point xi = xi0, where the expansions diverge.
+        If the point breaks the rule of :func:`check_point`;
+        ``SingularPointError`` at the load point xi = xi0.
     ExpansionRangeError
         If eta falls between the two ranges.
     RealnessError
         If a projected pair keeps an imaginary residue above 1e-2.
     """
-    if not (math.isfinite(xi) and math.isfinite(y)):
-        name, value = ("y", y) if math.isfinite(xi) else ("xi", xi)
-        raise ConfigError(f"query coordinate {name} must be finite, got {value}")
-    if y < 0.0:
-        raise ConfigError(f"depth coordinate y must be >= 0, got {y}")
+    check_point(xi, y, xi0)
     dist = abs(xi - xi0)
-    if dist == 0.0:
-        raise SingularPointError("field expansions diverge at the load point xi = xi0")
     eta = y / dist
     nu = p.nu
     if eta <= NEAR_ETA_MAX:
@@ -275,7 +289,8 @@ def evaluate_fields(
         eta2 = eta**2
         amp = dist ** (-nu)
         u1, u2, r_u = _project(amp * (d0[0] + d2[0] * eta2), amp * (d0[1] + d2[1] * eta2))
-        amp = math.copysign(1.0, xi - xi0) * dist ** (-nu - 1.0)
+        sgn = math.copysign(1.0, xi - xi0)
+        amp = sgn * dist ** (-nu - 1.0)
         du1, du2, r_du = _project(
             amp * (-nu * d0[0] - (nu + 2.0) * d2[0] * eta2),
             amp * (-nu * d0[1] - (nu + 2.0) * d2[1] * eta2),
@@ -287,13 +302,19 @@ def evaluate_fields(
             front = eta**nu / dist
             # index pairing of the printed expansion: the shear stress mixes
             # the normal zeroth-order with the tangential second-order
-            # coefficient, the normal stress the other way around
+            # coefficient, the normal stress the other way around.  The
+            # d/dxi terms carry sgn(xi - xi0), as du_dxi does; the d/dy
+            # terms (odd in eta) do not
             s12, s22, r_s = _project(
-                front * (-nu * d0[1] + 2.0 * d2[0] * eta - (nu + 2.0) * d2[1] * eta2),
                 front * (
-                    -lam0 * nu * d0[0]
+                    -nu * sgn * d0[1]
+                    + 2.0 * d2[0] * eta
+                    - (nu + 2.0) * sgn * d2[1] * eta2
+                ),
+                front * (
+                    -lam0 * nu * sgn * d0[0]
                     + p.cd2_cs2 * 2.0 * d2[1] * eta
-                    - lam0 * (nu + 2.0) * d2[0] * eta2
+                    - lam0 * (nu + 2.0) * sgn * d2[0] * eta2
                 ),
             )
         return FieldResult(

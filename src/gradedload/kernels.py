@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _scipy_gamma
+from scipy.special import gamma
 
-from .errors import PoleError
 from .params import DerivedParams
 
-__all__ = ["complex_gamma", "coeff_b", "kernel_g", "rhs_f", "mellin_m"]
+__all__ = ["coeff_b", "kernel_g", "rhs_f", "mellin_m"]
 
 # terms of the accelerated alternating series in mellin_m; the CVZ error
 # falls like (3 + sqrt 8)**-n, so 30 terms leave it far below roundoff for
@@ -49,32 +48,6 @@ _CVZ_WEIGHTS = _cvz_weights(_CVZ_TERMS)
 _CVZ_K = np.arange(_CVZ_TERMS, dtype=float)
 
 
-def complex_gamma(z):
-    """Gamma function on the complex plane.
-
-    Wraps the scipy implementation (Lanczos-type with reflection) and adds
-    an explicit guard: non-positive integer arguments raise
-    :class:`~gradedload.errors.PoleError` instead of returning inf/nan.
-
-    Parameters
-    ----------
-    z : complex scalar or array_like
-
-    Returns
-    -------
-    complex scalar or ndarray
-    """
-    za = np.asarray(z)
-    on_real_axis = za.imag == 0.0
-    at_pole = on_real_axis & (za.real <= 0.0) & (za.real == np.floor(za.real))
-    if np.any(at_pole):
-        raise PoleError(f"gamma pole at non-positive integer argument {za[at_pole].flat[0]}")
-    out = _scipy_gamma(za if za.dtype.kind == "c" else za.astype(complex))
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return complex(out)
-    return out
-
-
 def coeff_b(j: int, s, p: DerivedParams):
     """Rational prefactor ``b_j(s)`` of the kernel symbol, j in {1, 2}.
 
@@ -96,21 +69,24 @@ def coeff_b(j: int, s, p: DerivedParams):
 
 
 def kernel_g(j: int, s, p: DerivedParams):
-    """Diagonal kernel symbol ``G_j(s)``, j in {1, 2}.
+    """Diagonal kernel symbol ``G_j(s)``, j in {1, 2}, for complex ``s``.
 
     ``G_j(s) = b_j(s) * Gamma(1 - s/2) Gamma((s - nu)/2)
                / [Gamma((s + 1 - nu)/2) Gamma((3 - s)/2)]``
 
     Satisfies the reflection symmetry G_j(conj(s)) = conj(G_j(s)) and grows
-    like ``+-i lam_j beta**(+-s/2)`` far up/down the inversion strip.  Has a
-    pole at s = nu, which collocation arguments never hit.
+    like ``+-i lam_j beta**(+-s/2)`` far up/down the inversion strip.  The
+    gamma factors have poles where an argument is a non-positive integer.
+    The collocation arguments ``s = sigma +- i log(x_k)/pi`` with
+    ``sigma = nu/4`` and ``0 < x_k <= 1`` keep every argument at least
+    ``min(3 nu/8, 1/2 - 3 nu/8)`` away from them, the nearest being
+    ``(s - nu)/2 = -3 nu/8`` or ``(s + 1 - nu)/2 = 1/2 - 3 nu/8`` at
+    ``x_k = 1``.
     """
     nu = p.nu
-    b = coeff_b(j, s, p)
-    s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
-    num = complex_gamma(1.0 - s / 2.0) * complex_gamma((s - nu) / 2.0)
-    den = complex_gamma((s + 1.0 - nu) / 2.0) * complex_gamma((3.0 - s) / 2.0)
-    return b * num / den
+    num = gamma(1.0 - s / 2.0) * gamma((s - nu) / 2.0)
+    den = gamma((s + 1.0 - nu) / 2.0) * gamma((3.0 - s) / 2.0)
+    return coeff_b(j, s, p) * num / den
 
 
 def rhs_f(x, sigma: float):
@@ -119,10 +95,7 @@ def rhs_f(x, sigma: float):
     Bounded between 2*pi and 4*pi in modulus for x in [0, 1] and small sigma.
     """
     ph = np.exp(1j * np.pi * sigma / 2.0)
-    out = 4j * np.pi / (np.asarray(x) * ph + 1.0 / ph)
-    if np.ndim(x) == 0:
-        return complex(out)
-    return out
+    return 4j * np.pi / (x * ph + 1.0 / ph)
 
 
 def mellin_m(x, delta: float):
@@ -140,34 +113,28 @@ def mellin_m(x, delta: float):
 
     Parameters
     ----------
-    x : float or array_like
+    x : array_like
         Collocation points in (0, 1].
     delta : float
         Nonzero oscillation exponent.
 
     Returns
     -------
-    complex for scalar ``x``, else ndarray of complex with the shape of x.
-    Each array entry equals the scalar result for that x bitwise.
+    ndarray of complex with the shape of x.
 
     Raises
     ------
     ValueError
         If any x is outside (0, 1] (NaN included) or delta == 0.
     """
-    # a scalar runs as a length-1 array so that it takes the same ufunc
-    # loops, and hence the same roundings, as an array entry
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all((xa > 0.0) & (xa <= 1.0)):
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > 0.0) & (x <= 1.0)):
         raise ValueError(f"mellin_m defined for x in (0, 1], got {x}")
     if delta == 0.0:
         raise ValueError("mellin_m requires a nonzero oscillation exponent")
     coeffs = _CVZ_WEIGHTS / (1j * delta - _CVZ_K)
-    acc = np.full(xa.shape, coeffs[-1])
+    acc = np.full(x.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
-        acc = acc * xa + c
-    head = np.pi * 1j * np.exp(1j * delta * np.log(xa)) / math.sinh(np.pi * delta)
-    out = head + acc
-    if np.ndim(x) == 0:
-        return complex(out[0])
-    return out
+        acc = acc * x + c
+    head = np.pi * 1j * np.exp(1j * delta * np.log(x)) / math.sinh(np.pi * delta)
+    return head + acc

@@ -74,14 +74,19 @@ def step_weights(nodes: np.ndarray, delta: float) -> np.ndarray:
 class Discretization:
     """Uniform grid with the per-family quadrature data.
 
-    ``nodes`` are x_0..x_N; the weight and kernel-head vectors are indexed
-    by cell (length N).  ``w_minus``/``m_minus`` belong to the exponent
+    ``nodes`` are x_0..x_N.  ``colloc`` holds the collocation points
+    x_1..x_N and ``left`` the points x_0..x_{N-1} at which the kernels take
+    each cell; every block, the forcing and the boundary functionals read
+    them from here.  The weight and kernel-head vectors are indexed by cell
+    (length N).  ``w_minus``/``m_minus`` belong to the exponent
     delta1^- and ``w_plus``/``m_plus`` to delta1^+; the second family reuses
     them through the exponent pairing.
     """
 
     n: int
     nodes: np.ndarray
+    colloc: np.ndarray
+    left: np.ndarray
     w_minus: np.ndarray
     w_plus: np.ndarray
     m_minus: np.ndarray
@@ -104,14 +109,14 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     if n < 2:
         raise ConfigError(f"need at least 2 cells, got n = {n}")
     nodes = np.arange(n + 1, dtype=float) / n
-    collocation = nodes[1:]
+    colloc = nodes[1:]
     w_minus = step_weights(nodes, p.delta1_minus)
     w_plus = step_weights(nodes, p.delta1_plus)
-    m_minus = mellin_m(collocation, p.delta1_minus)
-    m_plus = mellin_m(collocation, p.delta1_plus)
+    m_minus = mellin_m(colloc, p.delta1_minus)
+    m_plus = mellin_m(colloc, p.delta1_plus)
     return Discretization(
-        n=n, nodes=nodes, w_minus=w_minus, w_plus=w_plus,
-        m_minus=m_minus, m_plus=m_plus,
+        n=n, nodes=nodes, colloc=colloc, left=nodes[:-1],
+        w_minus=w_minus, w_plus=w_plus, m_minus=m_minus, m_plus=m_plus,
     )
 
 
@@ -122,18 +127,14 @@ def singular_block(d: Discretization, weights: np.ndarray, heads: np.ndarray) ->
     exact kernel head M(x_k, delta) minus the left-endpoint sum it replaces,
     so that each row sums to M(x_k, delta).
     """
-    xk = d.nodes[1:]
-    left = d.nodes[:-1]
-    block = weights[None, :] / (left[None, :] + xk[:, None])
+    block = weights[None, :] / (d.left[None, :] + d.colloc[:, None])
     block[:, 0] = heads - block[:, 1:].sum(axis=1)
     return block
 
 
 def regular_block(d: Discretization, weights: np.ndarray) -> np.ndarray:
     """Block R(delta): regular kernel 1/(1 + y x)."""
-    xk = d.nodes[1:]
-    left = d.nodes[:-1]
-    return weights[None, :] / (1.0 + left[None, :] * xk[:, None])
+    return weights[None, :] / (1.0 + d.left[None, :] * d.colloc[:, None])
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ class BlockSystem:
 
 def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
     """Collocation blocks of the system (see the module docstring)."""
-    log_xk = np.log(d.nodes[1:])
+    log_xk = np.log(d.colloc)
     arg_minus = p.sigma - 1j / np.pi * log_xk
     arg_plus = p.sigma + 1j / np.pi * log_xk
     osc_minus = np.exp(1j * p.delta1_minus * log_xk)
@@ -190,7 +191,7 @@ def assemble_rhs(d: Discretization, p: DerivedParams) -> tuple[np.ndarray, np.nd
     those of ``rhs_b``: rows of the first family get ``-f(x_k)`` and rows
     of the second family ``conj(f(x_k))``.
     """
-    f = rhs_f(d.nodes[1:], p.sigma)
+    f = rhs_f(d.colloc, p.sigma)
     forced = np.concatenate([-f, np.conj(f)])
     zero = np.zeros_like(forced)
     return np.stack([forced, zero], axis=1), np.stack([zero, forced], axis=1)

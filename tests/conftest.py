@@ -81,7 +81,7 @@ def dense_matrix(d, p, sign):
     sign multiplies the four diagonal blocks.
     """
     n = d.n
-    log_x = np.log(d.nodes[1:])
+    log_x = np.log(d.colloc)
     arg_minus = p.sigma - 1j / np.pi * log_x
     arg_plus = p.sigma + 1j / np.pi * log_x
     osc_minus = np.exp(1j * p.delta1_minus * log_x)
@@ -107,7 +107,7 @@ def dense_matrix(d, p, sign):
     ])
 
 
-def dense_phi_minus(case) -> np.ndarray:
+def minus_variant_phi(case) -> np.ndarray:
     """``Phi_-`` of a solved case with the "-" variant solved on its own.
 
     The code derives the "-" variant from the "+" solve as

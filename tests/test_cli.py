@@ -6,6 +6,7 @@ import subprocess
 import pytest
 
 import gradedload.cli as cli
+import gradedload.driver as driver
 from gradedload import ConfigError, RealnessError, RunConfig
 from gradedload.cli import main, parse_config_file
 
@@ -41,17 +42,30 @@ def test_oversized_sweep_refused(capsys, monkeypatch):
     assert err.startswith("ConfigError: sweep range") and "cap of 10000" in err
 
 
-def test_non_finite_query_point_exit_code(capsys):
-    # a single case and a sweep both refuse the point by name
-    assert main(["--n", "25", "--xi", "nan"]) == 2
+def test_non_finite_query_point_exit_code(capsys, monkeypatch):
+    # a single case and a sweep both refuse the point by name while the
+    # config is built, before any solve; a sweep, which evaluates only its
+    # first point, refuses a bad later point too
+    monkeypatch.setattr(driver, "solve_system", lambda *args, **kw: pytest.fail("solve reached"))
+    assert main(["--n", "1600", "--xi", "nan"]) == 2
     assert "ConfigError: query coordinate xi must be finite, got nan" in capsys.readouterr().err
-    assert main(["--n", "25", "--y", "inf"]) == 2
+    assert main(["--n", "1600", "--y", "inf"]) == 2
     assert "ConfigError: query coordinate y must be finite, got inf" in capsys.readouterr().err
-    argv = ["--n", "25", "--sweep", "nu", "--sweep-range", "0.1:0.3:0.1", "--xi", "nan"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "ConfigError: query coordinate xi must be finite, got nan" in captured.err
+    sweep = ["--n", "25", "--sweep", "nu", "--sweep-range", "0.1:0.3:0.1"]
+    for points in (["--xi", "nan"], ["--xi", "-1", "--xi", "nan", "--y", "0"]):
+        assert main(sweep + points) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ConfigError: query coordinate xi must be finite, got nan" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_underflowing_strip_offset_exit_code(capsys):
+    # at nu = 5e-324, sigma = nu/4 underflows to 0, so at x_n = 1 the gamma
+    # argument (s - nu)/2 in kernel_g is -0, a pole; the solve's D_a gate
+    # refuses the non-finite diagonal
+    assert main(["--nu", "5e-324"]) == 3
+    assert capsys.readouterr().err.startswith("SingularMatrixError: diagonal block D_a")
 
 
 def test_build_run_config_keeps_class_defaults():

@@ -138,8 +138,8 @@ def test_format_report_sides_off_zero():
 
     def written(label, co):
         return [
-            f"coeffs kappa={label} j={j + 1}: d0={_fmtc(co.d0[j])} d1=0+0j "
-            f"d2={_fmtc(co.d2[j])} d3=0+0j e0=0+0j e1={_fmtc(co.e1[j])}"
+            f"coeffs kappa={label} j={j + 1}: d0={_fmtc(co.d0[j])} "
+            f"d2={_fmtc(co.d2[j])} e1={_fmtc(co.e1[j])}"
             for j in (0, 1)
         ]
 
@@ -168,6 +168,11 @@ def test_run_config_gates():
         RunConfig(sweep="speed", sweep_range=(0.1, 1.0, 0.1))
     with pytest.raises(ConfigError):
         RunConfig(points=())
+    # the point rule of evaluate_fields, applied before any solve
+    with pytest.raises(ConfigError, match="y must be >= 0"):
+        RunConfig(points=((-1.0, 0.0), (-1.0, -0.1)))
+    with pytest.raises(SingularPointError):
+        RunConfig(material=MaterialConfig(xi0=0.5), points=((0.5, 0.3),))
 
 
 def test_run_config_rejects_non_finite_range():

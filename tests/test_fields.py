@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_phi_minus, half_offset_case
+from conftest import cached_case, half_offset_case, minus_variant_phi
 from gradedload import (
     ConfigError,
     DegenerateDeterminantError,
@@ -63,7 +63,7 @@ def test_phi_from_family_exponents(case25, case50, case100):
             2: (sol.f1, "delta1^+", "delta1^-"),
         }
         phase = np.exp(-1j * np.pi * (p.sigma - p.nu) / 2.0)
-        x = d.nodes[1:]
+        x = d.colloc
         den_plus = x * phase + 1.0 / phase
         den_minus = x / phase + phase
         phi = boundary_phi(sol)
@@ -84,9 +84,12 @@ def test_phi_shape(case50):
     phi = boundary_phi(case50.solution)
     assert phi.shape == (2, 2)
     assert phi.dtype == complex
-    # the "-" matrix is J phi J, J = diag(1, -1)
+    # C_- solves the "-" system, whose matrix is J phi J, J = diag(1, -1)
+    p, bc = case50.params, case50.constants
     j = np.array([1.0, -1.0])
-    assert np.array_equal(case50.constants.phi_minus, j[:, None] * phi * j[None, :])
+    loads = np.array([p.gamma1 * case50.config.h1, p.gamma2 * case50.config.h2])
+    minus = j[:, None] * phi * j[None, :]
+    assert np.allclose(minus @ bc.c_minus, loads, rtol=1e-13, atol=0.0)
 
 
 def test_determinant_regression(case50, case100):
@@ -96,11 +99,13 @@ def test_determinant_regression(case50, case100):
 
 
 def test_determinant_variants_agree(case25, case50, case100):
-    # constants_c reuses Delta_+ for the "-" variant; the determinant of the
-    # derived J Phi J matches it exactly, the two sign flips cancelling
+    # constants_c reuses Delta_+ for the "-" variant; the determinant of
+    # J Phi J, J = diag(1, -1), matches it exactly, the two sign flips
+    # cancelling
+    j = np.array([1.0, -1.0])
     for case in (case25, case50, case100):
         bc = case.constants
-        pm = bc.phi_minus
+        pm = j[:, None] * bc.phi * j[None, :]
         assert complex(pm[0, 0] * pm[1, 1] - pm[0, 1] * pm[1, 0]) == bc.delta_minus
         assert bc.delta_minus == bc.delta_plus
 
@@ -168,7 +173,7 @@ def test_coefficient_relations(case100):
     # a dense solve of A_- rather than from the Cramer solve's J Phi_+ J
     bc = case100.constants
     plus = bc.phi @ bc.c_plus
-    minus = dense_phi_minus(case100) @ bc.c_minus
+    minus = minus_variant_phi(case100) @ bc.c_minus
     for j in (0, 1):
         assert abs(plus[j] - minus[j]) <= 1e-3 * abs(plus[j])
 
@@ -226,16 +231,50 @@ def test_stress_surface_zero(case100):
 
 
 def test_stress_vanishes_like_eta_power(case100):
+    # leading term -nu d0 sgn(xi - xi0) eta^nu; at xi = -1 the sign is -1
     p = case100.params
     co = case100.coeffs_plus
     lam0 = p.cd2_cs2 - 2.0
     for y in (1e-6, 1e-4):
         eta = y / 1.0
         res = evaluate_point(case100, -1.0, y)
-        assert res.s12 == pytest.approx(eta**p.nu * (-p.nu) * co.d0[1].real, rel=1e-3)
+        assert res.s12 == pytest.approx(eta**p.nu * p.nu * co.d0[1].real, rel=1e-3)
         assert res.s22 == pytest.approx(
-            eta**p.nu * (-lam0 * p.nu) * co.d0[0].real, rel=1e-3
+            eta**p.nu * lam0 * p.nu * co.d0[0].real, rel=1e-3
         )
+
+
+def test_stresses_obey_hookes_law():
+    # plane-strain Hooke's law with mu = y^nu and lam = lam0 y^nu (mu0 = 1)
+    # applied to the reported displacements:
+    #   s12 = y^nu (du1/dy + du2/dxi),
+    #   s22 = y^nu ((lam0 + 2) du2/dy + lam0 du1/dxi),
+    # lam0 = 2 nu_p / (1 - 2 nu_p).  Both derivatives are central
+    # differences of evaluate_point's u with step h, so they err by
+    # O(h^2) from truncation and O(eps/h) from rounding, relative to the
+    # size y^nu |u| / |xi - xi0| of the terms.  Near points with y > 0 on
+    # both sides of the load at xi0 = 0
+    h = 1e-5
+    tol = 1e3 * (h**2 + np.finfo(float).eps / h)
+    for material in ({}, dict(nu=0.3), dict(nu=0.6, nu_p=0.2, speed_ratio=0.5)):
+        case = cached_case(n=50, **material)
+        nu, nu_p = case.config.nu, case.config.nu_p
+        lam0 = 2.0 * nu_p / (1.0 - 2.0 * nu_p)
+
+        def u(xi, y):
+            res = evaluate_point(case, xi, y)
+            return np.array([res.u1, res.u2])
+
+        for xi in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
+            for y in (0.1 * abs(xi), 0.6 * abs(xi)):
+                du_dy = (u(xi, y + h) - u(xi, y - h)) / (2.0 * h)
+                du_dxi = (u(xi + h, y) - u(xi - h, y)) / (2.0 * h)
+                s12 = y**nu * (du_dy[0] + du_dxi[1])
+                s22 = y**nu * ((lam0 + 2.0) * du_dy[1] + lam0 * du_dxi[0])
+                scale = y**nu * np.abs(u(xi, y)).max() / abs(xi)
+                res = evaluate_point(case, xi, y)
+                assert abs(res.s12 - s12) <= tol * scale, (material, xi, y)
+                assert abs(res.s22 - s22) <= tol * scale, (material, xi, y)
 
 
 def test_deep_derivative_formula(case100):
@@ -274,12 +313,17 @@ def test_evaluate_point_is_the_written_expansion(case100):
                     for j in (0, 1)
                 ]
                 front = eta**nu / dist
+                sgn = math.copysign(1.0, xi)
                 s = [
-                    front * (-nu * d0[1] + 2.0 * d2[0] * eta - (nu + 2.0) * d2[1] * eta**2),
                     front * (
-                        -lam0 * nu * d0[0]
+                        -nu * sgn * d0[1]
+                        + 2.0 * d2[0] * eta
+                        - (nu + 2.0) * sgn * d2[1] * eta**2
+                    ),
+                    front * (
+                        -lam0 * nu * sgn * d0[0]
                         + p.cd2_cs2 * 2.0 * d2[1] * eta
-                        - lam0 * (nu + 2.0) * d2[0] * eta**2
+                        - lam0 * (nu + 2.0) * sgn * d2[0] * eta**2
                     ),
                 ]
                 assert res.expansion == "near"

@@ -36,6 +36,9 @@ def disc16(p01):
 def test_nodes_small(p01):
     d = build_grid(4, p01)
     assert np.array_equal(d.nodes, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+    # collocation at the right and kernel at the left end of each cell
+    assert np.array_equal(d.colloc, np.array([0.25, 0.5, 0.75, 1.0]))
+    assert np.array_equal(d.left, np.array([0.0, 0.25, 0.5, 0.75]))
 
 
 def test_nodes_default(p01):
@@ -118,7 +121,7 @@ def test_diagonal_entry_independent(p01):
     d = build_grid(50, p01)
     bs = block_system(d, p01)
     k = 25  # 1-based collocation index
-    x = d.nodes[k]
+    x = d.colloc[k - 1]
     expected = (
         2j * np.pi * np.exp(1j * p01.delta1_minus * np.log(x))
         / kernel_g(2, p01.sigma - 1j / np.pi * np.log(x), p01)
@@ -142,7 +145,7 @@ def test_singular_block_row_sums(disc16, p01):
     assert np.allclose(row_sums_24, disc16.m_minus, rtol=1e-12, atol=1e-12)
     for k in (1, n):
         assert row_sums_13[k - 1] == pytest.approx(
-            mellin_m(disc16.nodes[k], p01.delta1_plus), rel=1e-12
+            mellin_m(disc16.colloc[k - 1], p01.delta1_plus), rel=1e-12
         )
 
 
@@ -153,7 +156,7 @@ def test_rhs_structure(disc16, p01):
     # one column per load component; component 1 forces the rows of
     # rhs_a, component 2 those of rhs_b
     n = disc16.n
-    f = rhs_f(disc16.nodes[1:], p01.sigma)
+    f = rhs_f(disc16.colloc, p01.sigma)
     rhs_a, rhs_b = assemble_rhs(disc16, p01)
     assert rhs_a.shape == rhs_b.shape == (2 * n, 2)
     r = rhs_a[:, 0]
