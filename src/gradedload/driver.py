@@ -73,7 +73,12 @@ class RunConfig:
                 )
             if self.sweep_range is None:
                 raise ConfigError("sweep requested without a sweep range")
-            start, stop, step = self.sweep_range
+            try:
+                start, stop, step = self.sweep_range
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"sweep range must be (start, stop, step), got {self.sweep_range!r}"
+                ) from None
             if not all(math.isfinite(v) for v in self.sweep_range):
                 raise ConfigError(
                     f"sweep range must be finite, got {self.sweep_range}"

@@ -32,7 +32,8 @@ class SubsonicViolation(ConfigError):
 
 
 class SingularPointError(ConfigError):
-    """Field evaluation requested at the moving load point itself."""
+    """Field evaluation requested at the moving load point itself, or so
+    near it that the fields leave the floating-point range."""
 
 
 class ExpansionRangeError(ConfigError):

@@ -63,11 +63,12 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
 
     Quadrature of the solved densities against the load kernel; the
     component-j functional integrates the opposite-component densities,
-    ``sol.f2`` for j = 1 and ``sol.f1`` for j = 2, each family with the
-    weights of its exponent (``F1^-`` and ``F2^+`` carry delta1^-).  With
-    an all-zero solution only the forcing term ``-delta_jm / cos(pi nu / 2)``
-    survives, which pins the normalization.  The "-" variant's values are
-    ``J Phi J`` (see :func:`constants_c`).
+    ``sol.f2`` for j = 1 and ``sol.f1`` for j = 2.  Both stacks carry the
+    exponents ``[delta1^+; delta1^-]``, so their halves take the weights
+    ``[w_plus; w_minus]``; only the denominators swap between the two
+    components.  With an all-zero solution only the forcing term
+    ``-delta_jm / cos(pi nu / 2)`` survives, which pins the normalization.
+    The "-" variant's values are ``J Phi J`` (see :func:`constants_c`).
 
     Returns
     -------
@@ -82,11 +83,11 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
     phase = np.exp(-1j * np.pi * (p.sigma - nu) / 2.0)
     den_plus = xn * phase + 1.0 / phase
     den_minus = xn / phase + phase
-    # (densities, weights of their "+" rows, of their "-" rows) per component
+    # (densities, denominator of their first half, of their second) per component
     phi = np.array([
-        [0.5j / np.pi * np.sum(f[n:, k] * wa / den_plus + f[:n, k] * wb / den_minus)
+        [0.5j / np.pi * np.sum(f[n:, k] * d.w_minus / den_b + f[:n, k] * d.w_plus / den_a)
          for k in (0, 1)]
-        for f, wa, wb in ((sol.f2, d.w_minus, d.w_plus), (sol.f1, d.w_plus, d.w_minus))
+        for f, den_a, den_b in ((sol.f2, den_minus, den_plus), (sol.f1, den_plus, den_minus))
     ])
     return phi - np.eye(2) / math.cos(np.pi * nu / 2.0)
 
@@ -226,6 +227,8 @@ class FieldResult:
 def _project(a: complex, b: complex) -> tuple[float, float, float]:
     """Real parts of a field pair and its relative imaginary residue."""
     scale = max(abs(a), abs(b))
+    if not math.isfinite(scale):
+        raise OverflowError("field value is not finite")
     if scale == 0.0:
         return 0.0, 0.0, 0.0
     residue = max(abs(a.imag), abs(b.imag)) / scale
@@ -273,8 +276,10 @@ def evaluate_fields(
     Raises
     ------
     ConfigError
-        If the point breaks the rule of :func:`check_point`;
-        ``SingularPointError`` at the load point xi = xi0.
+        If the point breaks the rule of :func:`check_point`.
+    SingularPointError
+        At the load point xi = xi0, or so near it that eta or a field
+        leaves the floating-point range.
     ExpansionRangeError
         If eta falls between the two ranges.
     RealnessError
@@ -284,54 +289,62 @@ def evaluate_fields(
     dist = abs(xi - xi0)
     eta = y / dist
     nu = p.nu
-    if eta <= NEAR_ETA_MAX:
-        d0, d2 = coeffs.d0, coeffs.d2
-        eta2 = eta**2
-        amp = dist ** (-nu)
-        u1, u2, r_u = _project(amp * (d0[0] + d2[0] * eta2), amp * (d0[1] + d2[1] * eta2))
-        sgn = math.copysign(1.0, xi - xi0)
-        amp = sgn * dist ** (-nu - 1.0)
-        du1, du2, r_du = _project(
-            amp * (-nu * d0[0] - (nu + 2.0) * d2[0] * eta2),
-            amp * (-nu * d0[1] - (nu + 2.0) * d2[1] * eta2),
-        )
-        if y == 0.0:
-            s12, s22, r_s = 0.0, 0.0, 0.0
-        else:
-            lam0 = p.cd2_cs2 - 2.0  # lam0/mu0 from (lam0 + 2 mu0)/mu0
-            front = eta**nu / dist
-            # index pairing of the printed expansion: the shear stress mixes
-            # the normal zeroth-order with the tangential second-order
-            # coefficient, the normal stress the other way around.  The
-            # d/dxi terms carry sgn(xi - xi0), as du_dxi does; the d/dy
-            # terms (odd in eta) do not
-            s12, s22, r_s = _project(
-                front * (
-                    -nu * sgn * d0[1]
-                    + 2.0 * d2[0] * eta
-                    - (nu + 2.0) * sgn * d2[1] * eta2
-                ),
-                front * (
-                    -lam0 * nu * sgn * d0[0]
-                    + p.cd2_cs2 * 2.0 * d2[1] * eta
-                    - lam0 * (nu + 2.0) * sgn * d2[0] * eta2
-                ),
+    try:
+        # leaving the float range ends in the typed error below, never in inf
+        if math.isinf(eta):
+            raise OverflowError("eta is not finite")
+        if eta <= NEAR_ETA_MAX:
+            d0, d2 = coeffs.d0, coeffs.d2
+            eta2 = eta**2
+            amp = dist ** (-nu)
+            u1, u2, r_u = _project(amp * (d0[0] + d2[0] * eta2), amp * (d0[1] + d2[1] * eta2))
+            sgn = math.copysign(1.0, xi - xi0)
+            amp = sgn * dist ** (-nu - 1.0)
+            du1, du2, r_du = _project(
+                amp * (-nu * d0[0] - (nu + 2.0) * d2[0] * eta2),
+                amp * (-nu * d0[1] - (nu + 2.0) * d2[1] * eta2),
             )
-        return FieldResult(
-            xi=xi, y=y, eta=eta, expansion="near",
-            u1=u1, u2=u2, du1_dxi=du1, du2_dxi=du2, s12=s12, s22=s22,
-            imag_residue=max(r_u, r_du, r_s),
-        )
-    if eta >= DEEP_ETA_MIN:
-        e1 = coeffs.e1
-        tail = eta ** (nu - 1.0)
-        scale = math.pi * (xi - xi0) * y**nu
-        du1, du2, r_du = _project(e1[0] * tail / scale, e1[1] * tail / scale)
-        return FieldResult(
-            xi=xi, y=y, eta=eta, expansion="deep",
-            u1=None, u2=None, du1_dxi=du1, du2_dxi=du2, s12=None, s22=None,
-            imag_residue=r_du,
-        )
+            if y == 0.0:
+                s12, s22, r_s = 0.0, 0.0, 0.0
+            else:
+                lam0 = p.cd2_cs2 - 2.0  # lam0/mu0 from (lam0 + 2 mu0)/mu0
+                front = eta**nu / dist
+                # index pairing of the printed expansion: the shear stress mixes
+                # the normal zeroth-order with the tangential second-order
+                # coefficient, the normal stress the other way around.  The
+                # d/dxi terms carry sgn(xi - xi0), as du_dxi does; the d/dy
+                # terms (odd in eta) do not
+                s12, s22, r_s = _project(
+                    front * (
+                        -nu * sgn * d0[1]
+                        + 2.0 * d2[0] * eta
+                        - (nu + 2.0) * sgn * d2[1] * eta2
+                    ),
+                    front * (
+                        -lam0 * nu * sgn * d0[0]
+                        + p.cd2_cs2 * 2.0 * d2[1] * eta
+                        - lam0 * (nu + 2.0) * sgn * d2[0] * eta2
+                    ),
+                )
+            return FieldResult(
+                xi=xi, y=y, eta=eta, expansion="near",
+                u1=u1, u2=u2, du1_dxi=du1, du2_dxi=du2, s12=s12, s22=s22,
+                imag_residue=max(r_u, r_du, r_s),
+            )
+        if eta >= DEEP_ETA_MIN:
+            e1 = coeffs.e1
+            tail = eta ** (nu - 1.0)
+            scale = math.pi * (xi - xi0) * y**nu
+            du1, du2, r_du = _project(e1[0] * tail / scale, e1[1] * tail / scale)
+            return FieldResult(
+                xi=xi, y=y, eta=eta, expansion="deep",
+                u1=None, u2=None, du1_dxi=du1, du2_dxi=du2, s12=None, s22=None,
+                imag_residue=r_du,
+            )
+    except (OverflowError, ZeroDivisionError):
+        raise SingularPointError(
+            f"fields at |xi - xi0| = {dist:.3e}, y = {y:.3e} leave the floating-point range"
+        ) from None
     raise ExpansionRangeError(
         f"eta = {eta:.3f} falls between the near range (<= {NEAR_ETA_MAX}) "
         f"and the deep range (>= {DEEP_ETA_MIN})"

@@ -6,19 +6,20 @@ exponents ``x**(i delta)``.  Collocating at the right endpoints of the cells
 gives a ``4N x 4N`` complex block system (rows are equations, columns
 unknown densities):
 
-    [ D1   0    S+   R- ] [ F1^-]   [ r1 ]
-    [ 0    D2   R+   S- ] [ F1^+] = [ r2 ]
-    [ S-   R+   D3   0  ] [ F2^-]   [ r3 ]
-    [ R-   S+   0    D4 ] [ F2^+]   [ r4 ]
+    [ D2   0    R+   S- ] [ F1^+]   [ r2 ]
+    [ 0    D1   S+   R- ] [ F1^-] = [ r1 ]
+    [ R+   S-   D3   0  ] [ F2^-]   [ r3 ]
+    [ S+   R-   0    D4 ] [ F2^+]   [ r4 ]
 
 where S(delta) carries the fixed-singularity kernel in its first column and
 R(delta) is the regular complementary block; superscripts -/+ mark the two
-exponent families.  Only ``delta1^-`` and ``delta1^+`` appear: the layout
-states the pairing ``delta2^- = delta1^+``, ``delta2^+ = delta1^-``.  In
-2x2 form ``A = [[D_a, X], [Y, D_b]]`` with diagonal ``D_a``, ``D_b``.  This
-is the "+" sign variant of the formulation and the only one solved.  The
-"-" variant negates the diagonal blocks and the forcing, ``A_- = -J A J``
-and ``r_- = -r`` with ``J = diag(I, -I)``.
+exponent families.  Only ``delta1^-`` and ``delta1^+`` appear: through the
+pairing ``delta2^- = delta1^+``, ``delta2^+ = delta1^-`` both density stacks
+carry the exponents ``[delta1^+; delta1^-]``, so both coupling blocks are
+one matrix K and ``A = [[D_a, K], [K, D_b]]`` with diagonal ``D_a``, ``D_b``.
+This is the "+" sign variant of the formulation and the only one solved.
+The "-" variant negates the diagonal blocks and the forcing,
+``A_- = -J A J`` and ``r_- = -r`` with ``J = diag(I, -I)``.
 Component m = 1 forces only the first half of the rows (``J r = r``) and
 m = 2 only the second (``J r = -r``), so the "-" densities are ``J`` times
 the "+" ones for m = 1 and ``-J`` times them for m = 2; the "-" boundary
@@ -30,6 +31,7 @@ The system is solved by eliminating ``D_a`` and factorizing the
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -78,9 +80,9 @@ class Discretization:
     x_1..x_N and ``left`` the points x_0..x_{N-1} at which the kernels take
     each cell; every block, the forcing and the boundary functionals read
     them from here.  The weight and kernel-head vectors are indexed by cell
-    (length N).  ``w_minus``/``m_minus`` belong to the exponent
-    delta1^- and ``w_plus``/``m_plus`` to delta1^+; the second family reuses
-    them through the exponent pairing.
+    (length N).  ``w_plus``/``m_plus`` belong to the exponent delta1^+ of
+    the first N rows of both density stacks, ``w_minus``/``m_minus`` to
+    delta1^- of the last N.
     """
 
     n: int
@@ -99,13 +101,17 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     Parameters
     ----------
     n : int
-        Number of cells, n >= 2.
+        Number of cells, an integer (``operator.index``) n >= 2.
     p : DerivedParams
 
     Returns
     -------
     Discretization
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConfigError(f"number of cells must be an integer, got {n!r}") from None
     if n < 2:
         raise ConfigError(f"need at least 2 cells, got n = {n}")
     nodes = np.arange(n + 1, dtype=float) / n
@@ -139,23 +145,22 @@ def regular_block(d: Discretization, weights: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """The collocation matrix ``A = [[D_a, X], [Y, D_b]]`` in blocks.
+    """The collocation matrix ``A = [[D_a, K], [K, D_b]]`` in blocks.
 
-    ``diag_a`` = (D1, D2) and ``diag_b`` = (D3, D4) hold the diagonals;
-    ``x`` = [[S+, R-], [R+, S-]] and ``y`` = [[S-, R+], [R-, S+]] are the
-    coupling blocks.  The dense matrix itself is never formed.
+    ``diag_a`` = (D2, D1) and ``diag_b`` = (D3, D4) hold the diagonals and
+    ``k`` = [[R+, S-], [S+, R-]] is the coupling block of both block rows.
+    The dense matrix itself is never formed.
     """
 
     diag_a: np.ndarray
     diag_b: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    k: np.ndarray
 
     def apply(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Product ``A @ [u; v]`` for column stacks u and v."""
         return (
-            self.diag_a[:, None] * u + self.x @ v,
-            self.y @ u + self.diag_b[:, None] * v,
+            self.diag_a[:, None] * u + self.k @ v,
+            self.k @ u + self.diag_b[:, None] * v,
         )
 
 
@@ -164,37 +169,34 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
     log_xk = np.log(d.colloc)
     arg_minus = p.sigma - 1j / np.pi * log_xk
     arg_plus = p.sigma + 1j / np.pi * log_xk
-    osc_minus = np.exp(1j * p.delta1_minus * log_xk)
-    osc_plus = np.exp(1j * p.delta1_plus * log_xk)
-    args = np.concatenate([arg_minus, arg_plus])
+    osc = np.concatenate([
+        np.exp(1j * p.delta1_plus * log_xk), np.exp(1j * p.delta1_minus * log_xk)
+    ])
     scale = 2j * np.pi
-    diag_a = scale * np.concatenate([osc_minus, osc_plus]) / kernel_g(2, args, p)
-    diag_b = scale * np.concatenate([osc_plus, osc_minus]) / kernel_g(1, args, p)
-    s_plus = singular_block(d, d.w_plus, d.m_plus)
-    s_minus = singular_block(d, d.w_minus, d.m_minus)
-    r_plus = regular_block(d, d.w_plus)
-    r_minus = regular_block(d, d.w_minus)
-    return BlockSystem(
-        diag_a=diag_a,
-        diag_b=diag_b,
-        x=np.block([[s_plus, r_minus], [r_plus, s_minus]]),
-        y=np.block([[s_minus, r_plus], [r_minus, s_plus]]),
-    )
+    diag_a = scale * osc / kernel_g(2, np.concatenate([arg_plus, arg_minus]), p)
+    diag_b = scale * osc / kernel_g(1, np.concatenate([arg_minus, arg_plus]), p)
+    k = np.block([
+        [regular_block(d, d.w_plus), singular_block(d, d.w_minus, d.m_minus)],
+        [singular_block(d, d.w_plus, d.m_plus), regular_block(d, d.w_minus)],
+    ])
+    return BlockSystem(diag_a=diag_a, diag_b=diag_b, k=k)
 
 
 def assemble_rhs(d: Discretization, p: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
     """Forcing of both load components as the stacks ``block_solve`` takes.
 
-    Returns ``rhs_a = [r1; r2]`` and ``rhs_b = [r3; r4]``, each of shape
+    Returns ``rhs_a = [r2; r1]`` and ``rhs_b = [r3; r4]``, each of shape
     ``(2N, 2)`` with column m - 1 for load component m.  Component m forces
     only its own two equation groups, m = 1 those of ``rhs_a`` and m = 2
-    those of ``rhs_b``: rows of the first family get ``-f(x_k)`` and rows
-    of the second family ``conj(f(x_k))``.
+    those of ``rhs_b``: rows of the first family (r1, r3) get ``-f(x_k)``
+    and rows of the second family (r2, r4) ``conj(f(x_k))``.
     """
     f = rhs_f(d.colloc, p.sigma)
-    forced = np.concatenate([-f, np.conj(f)])
-    zero = np.zeros_like(forced)
-    return np.stack([forced, zero], axis=1), np.stack([zero, forced], axis=1)
+    zero = np.zeros(2 * d.n, dtype=complex)
+    return (
+        np.stack([np.concatenate([np.conj(f), -f]), zero], axis=1),
+        np.stack([zero, np.concatenate([-f, np.conj(f)])], axis=1),
+    )
 
 
 def _require_divisors(block: str, what: str, values: np.ndarray) -> None:
@@ -216,8 +218,8 @@ def block_solve(
     """Solve ``A [u; v] = [rhs_a; rhs_b]`` by elimination.
 
     Eliminates the diagonal ``D_a``, factorizes the Schur complement
-    ``S = D_b - Y D_a^-1 X`` once (dense LU with partial pivoting), and
-    recovers ``u = D_a^-1 (rhs_a - X v)``.  One step of iterative
+    ``S = D_b - K D_a^-1 K`` once (dense LU with partial pivoting), and
+    recovers ``u = D_a^-1 (rhs_a - K v)``.  One step of iterative
     refinement with the same factors follows.  ``rhs_a`` and ``rhs_b`` may
     hold several right-hand sides as columns.
 
@@ -229,7 +231,8 @@ def block_solve(
     """
     da = bs.diag_a
     _require_divisors("diagonal block D_a", "entry", da)
-    schur = -(bs.y @ (bs.x / da[:, None]))
+    k = bs.k
+    schur = -(k @ (k / da[:, None]))
     schur[np.diag_indices_from(schur)] += bs.diag_b
     with warnings.catch_warnings():
         # an exactly zero pivot is reported below as a typed error
@@ -238,8 +241,8 @@ def block_solve(
     _require_divisors("Schur complement S", "pivot", np.diagonal(factors[0]))
 
     def eliminate(ra, rb):
-        v = sla.lu_solve(factors, rb - bs.y @ (ra / da[:, None]), check_finite=False)
-        return (ra - bs.x @ v) / da[:, None], v
+        v = sla.lu_solve(factors, rb - k @ (ra / da[:, None]), check_finite=False)
+        return (ra - k @ v) / da[:, None], v
 
     u, v = eliminate(rhs_a, rhs_b)
     au, av = bs.apply(u, v)
@@ -260,12 +263,12 @@ class SIESolution:
     """Solution of the collocation system for both load components.
 
     ``f1`` and ``f2`` are the "+" variant's density stacks
-    ``[F1^-; F1^+]`` and ``[F2^-; F2^+]`` of shape ``(2N, 2)``: the
-    ``u`` and ``v`` of :func:`block_solve`, family "-" in the first N rows,
-    and column m - 1 for load component m.  ``residuals`` maps m in {1, 2}
-    to the relative infinity-norm residual of its solve.  The "-" variant
-    is not stored: its densities are ``+-J`` times these (see the module
-    docstring), with equal residuals.
+    ``[F1^+; F1^-]`` and ``[F2^-; F2^+]`` of shape ``(2N, 2)``: the
+    ``u`` and ``v`` of :func:`block_solve`, exponent delta1^+ in the first
+    N rows and delta1^- in the last N, column m - 1 for load component m.
+    ``residuals`` maps m in {1, 2} to the relative infinity-norm residual
+    of its solve.  The "-" variant is not stored: its densities are ``+-J``
+    times these (see the module docstring), with equal residuals.
     """
 
     params: DerivedParams

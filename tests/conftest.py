@@ -73,12 +73,27 @@ def params_default(case100):
     return case100.params
 
 
-def dense_matrix(d, p, sign):
-    """Dense 4N x 4N matrix of one sign variant, from the documented layout.
+def solver_order(n: int) -> np.ndarray:
+    """Indices that take the paper's 4N layout to the solver's.
 
-    Independent of ``block_system``: the diagonals come straight from
-    kernel_g and the coupling blocks from the public block builders.  The
-    sign multiplies the four diagonal blocks.
+    The paper orders the unknowns ``[F1^-; F1^+; F2^-; F2^+]`` and the
+    equations (1, 2, 3, 4); ``block_system`` puts the first two groups in
+    the opposite order, so that both density stacks carry the exponents
+    ``[delta1^+; delta1^-]``.  The map swaps the first two N-blocks and is
+    its own inverse: ``a[np.ix_(o, o)]`` takes a matrix and ``x[o]`` a
+    stack either way.
+    """
+    return np.r_[n:2 * n, 0:n, 2 * n:4 * n]
+
+
+def dense_matrix(d, p, sign):
+    """Dense 4N x 4N matrix of one sign variant in the paper's layout.
+
+    Rows are the equations (1, 2, 3, 4) and columns the densities
+    ``[F1^-; F1^+; F2^-; F2^+]``; :func:`solver_order` maps it to the
+    solver's order.  Independent of ``block_system``: the diagonals come
+    straight from kernel_g and the coupling blocks from the public block
+    builders.  The sign multiplies the four diagonal blocks.
     """
     n = d.n
     log_x = np.log(d.colloc)
@@ -116,8 +131,9 @@ def minus_variant_phi(case) -> np.ndarray:
     "+" sign and the load forcing F; the "-" variant has -Q - F.
     """
     d, p, n = case.solution.disc, case.params, case.solution.disc.n
-    rhs = np.concatenate(assemble_rhs(d, p))
-    x = sla.solve(dense_matrix(d, p, -1), -rhs)
+    order = solver_order(n)
+    rhs = np.concatenate(assemble_rhs(d, p))[order]
+    x = sla.solve(dense_matrix(d, p, -1), -rhs)[order]
     solved = dataclasses.replace(case.solution, f1=x[:2 * n], f2=x[2 * n:])
     forcing = np.eye(2) / math.cos(math.pi * p.nu / 2.0)
     return -(boundary_phi(solved) + forcing) - forcing

@@ -24,7 +24,13 @@ import numpy as np
 import pytest
 
 import gradedload.system
-from conftest import ACCEPTANCE_LINES, cached_case, minus_variant_phi, half_offset_case
+from conftest import (
+    ACCEPTANCE_LINES,
+    cached_case,
+    half_offset_case,
+    minus_variant_phi,
+    solver_order,
+)
 from gradedload import (
     MaterialConfig,
     RunConfig,
@@ -154,18 +160,20 @@ def _other_root(config: MaterialConfig):
 def _family_defect(case, mirror, twist=1.0) -> float:
     """Worst relative defect of ``F+ = +-conj(F-) twist`` over both families.
 
-    ``F+`` (the last N rows of a stack) comes from ``case`` and ``F-`` (the
-    first N rows) from ``mirror``, one load component m at a time; the sign
-    is (+, -) for the families (1, 2) at m = 1 and (-, +) at m = 2.
+    ``F+`` comes from ``case`` and ``F-`` from ``mirror``, one load
+    component m at a time; the sign is (+, -) for the families (1, 2) at
+    m = 1 and (-, +) at m = 2.
     """
-    a, b = case.solution, mirror.solution
-    n = a.disc.n
+    n = case.solution.disc.n
+    order = solver_order(n)
+    # the stacks in the paper's order [F1^-; F1^+; F2^-; F2^+]
+    a, b = (np.concatenate([c.solution.f1, c.solution.f2])[order] for c in (case, mirror))
     worst = 0.0
     for k, (s1, s2) in enumerate(((1.0, -1.0), (-1.0, 1.0))):
-        scale = max(float(np.abs(f[:, k]).max()) for f in (a.f1, a.f2))
+        scale = float(np.abs(a[:, k]).max())
         defect = max(
-            float(np.abs(a.f1[n:, k] - s1 * np.conj(b.f1[:n, k]) * twist).max()),
-            float(np.abs(a.f2[n:, k] - s2 * np.conj(b.f2[:n, k]) * twist).max()),
+            float(np.abs(a[n:2 * n, k] - s1 * np.conj(b[:n, k]) * twist).max()),
+            float(np.abs(a[3 * n:, k] - s2 * np.conj(b[2 * n:3 * n, k]) * twist).max()),
         )
         worst = max(worst, defect / scale)
     return worst

@@ -59,6 +59,21 @@ def test_non_finite_query_point_exit_code(capsys, monkeypatch):
         assert "ConfigError: query coordinate xi must be finite, got nan" in captured.err
 
 
+def test_unrepresentable_point_exit_code(capsys):
+    # a field that leaves the float range near the load is a typed error
+    # (exit 2, like the load point itself), not a traceback or an inf
+    for args, dist in (
+        (["--nu", "0.9", "--xi=-1e-300", "--y", "0"], "1.000e-300"),
+        (["--xi=-1e-300", "--y", "1e-299"], "1.000e-300"),
+        (["--nu", "0.9", "--h1", "-1000", "--h2", "-1000", "--xi=-1e-162", "--y", "0"],
+         "1.000e-162"),
+    ):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"SingularPointError: fields at |xi - xi0| = {dist}")
+        assert "inf" not in captured.out
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_underflowing_strip_offset_exit_code(capsys):
     # at nu = 5e-324, sigma = nu/4 underflows to 0, so at x_n = 1 the gamma

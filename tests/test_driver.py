@@ -160,6 +160,10 @@ def test_run_config_gates():
         RunConfig(sweep="mass")
     with pytest.raises(ConfigError):
         RunConfig(sweep="nu")  # missing range
+    # a range that does not unpack to (start, stop, step)
+    for bad in ((0.1, 0.5), (0.1, 0.5, 0.1, 0.2), 0.3):
+        with pytest.raises(ConfigError, match=r"sweep range must be \(start, stop, step\)"):
+            RunConfig(sweep="nu", sweep_range=bad)
     with pytest.raises(ConfigError):
         RunConfig(sweep="nu", sweep_range=(0.1, 0.5, 0.0))
     with pytest.raises(ConfigError):

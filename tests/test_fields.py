@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import cached_case, half_offset_case, minus_variant_phi
+from conftest import cached_case, half_offset_case, minus_variant_phi, solver_order
 from gradedload import (
     ConfigError,
     DegenerateDeterminantError,
@@ -57,10 +57,12 @@ def test_phi_from_family_exponents(case25, case50, case100):
         sol = case.solution
         d, p, n = sol.disc, sol.params, sol.disc.n
         weights = {"delta1^-": d.w_minus, "delta1^+": d.w_plus}
+        # the stacks in the paper's order [F1^-; F1^+; F2^-; F2^+]
+        stacks = np.concatenate([sol.f1, sol.f2])[solver_order(n)]
         # component j -> (density stack, exponent of its "+" rows, of its "-" rows)
         opposite = {
-            1: (sol.f2, "delta1^-", "delta1^+"),
-            2: (sol.f1, "delta1^+", "delta1^-"),
+            1: (stacks[2 * n:], "delta1^-", "delta1^+"),
+            2: (stacks[:2 * n], "delta1^+", "delta1^-"),
         }
         phase = np.exp(-1j * np.pi * (p.sigma - p.nu) / 2.0)
         x = d.colloc
@@ -366,6 +368,24 @@ def test_non_finite_query_point_refused(case50):
     ):
         with pytest.raises(ConfigError, match=f"{name} must be finite, got -?(nan|inf)"):
             evaluate_point(case50, xi, y)
+
+
+def test_unrepresentable_fields_refused():
+    # finite points so near the load that eta or a field leaves the float
+    # range end in the typed error that names |xi - xi0|, never in a
+    # Python OverflowError, ZeroDivisionError or an inf field
+    for material, xi, y in (
+        ({"nu": 0.9}, -1e-300, 0.0),  # |xi - xi0|**(-nu - 1) overflows
+        ({}, -1e-300, 1e-299),  # the deep scale pi |xi - xi0| y**nu underflows to 0
+        ({"nu": 0.9, "h1": -1000.0, "h2": -1000.0}, -1e-162, 0.0),  # du_dxi = inf
+        ({}, -1e-300, 1e300),  # eta = y/|xi - xi0| = inf
+    ):
+        case = cached_case(n=100, **material)
+        with pytest.raises(SingularPointError, match=rf"\|xi - xi0\| = {abs(xi):.3e}"):
+            evaluate_point(case, xi, y)
+    # nearer than any test above, but representable
+    res = evaluate_point(cached_case(n=100), -1e-100, 0.0)
+    assert all(math.isfinite(v) for v in (res.u1, res.u2, res.du1_dxi, res.du2_dxi))
 
 
 def test_fore_aft_asymmetry(case100):

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as sla
 
 import gradedload.system as system
-from conftest import dense_matrix
-from gradedload import ConfigError, MaterialConfig, SingularMatrixError
+from conftest import dense_matrix, solver_order
+from gradedload import ConfigError, MaterialConfig, SingularMatrixError, solve_case
 from gradedload.kernels import kernel_g, mellin_m, rhs_f
 from gradedload.params import derive_params
 from gradedload.system import (
@@ -52,6 +52,14 @@ def test_degenerate_grid_rejected(p01):
     for n in (1, 0, -3):
         with pytest.raises(ConfigError):
             build_grid(n, p01)
+    # a non-integer n would build nodes past 1, so it is refused before any
+    # node is built, on every entry that reaches the grid
+    for n in (100.5, 100.0, "100"):
+        with pytest.raises(ConfigError, match="number of cells must be an integer"):
+            build_grid(n, p01)
+    with pytest.raises(ConfigError, match="got 100.5"):
+        solve_case(MaterialConfig(), n=100.5)
+    assert build_grid(np.int64(4), p01).n == 4
 
 
 def test_weights_telescope(p01):
@@ -69,9 +77,16 @@ def test_weights_telescope(p01):
 # ---------------------------------------------------------------- matrix
 
 
+def _dense(bs):
+    """The 4N x 4N matrix ``[[D_a, K], [K, D_b]]`` in the solver's order."""
+    return np.block([[np.diag(bs.diag_a), bs.k], [bs.k, np.diag(bs.diag_b)]])
+
+
 def _dense_blocks(bs):
+    """The N x N blocks of ``bs`` in the paper's layout, by (row, column)."""
     n = len(bs.diag_a) // 2
-    a = np.block([[np.diag(bs.diag_a), bs.x], [bs.y, np.diag(bs.diag_b)]])
+    order = solver_order(n)
+    a = _dense(bs)[np.ix_(order, order)]
     return {
         (bi, bj): a[bi * n:(bi + 1) * n, bj * n:(bj + 1) * n]
         for bi in range(4) for bj in range(4)
@@ -82,7 +97,12 @@ def test_matrix_block_structure(disc16, p01):
     n = disc16.n
     bs = block_system(disc16, p01)
     assert bs.diag_a.shape == bs.diag_b.shape == (2 * n,)
-    assert bs.x.shape == bs.y.shape == (2 * n, 2 * n)
+    assert bs.k.shape == (2 * n, 2 * n)
+    # the paper's layout, mapped to the solver's order, is exactly
+    # [[D_a, K], [K, D_b]]: one coupling block serves both block rows
+    order = solver_order(n)
+    dense = dense_matrix(disc16, p01, 1)
+    assert np.array_equal(dense[np.ix_(order, order)], _dense(bs))
     blocks = _dense_blocks(bs)
     zero = np.zeros((n, n), dtype=complex)
     for ij in ((0, 1), (1, 0), (2, 3), (3, 2)):
@@ -92,17 +112,13 @@ def test_matrix_block_structure(disc16, p01):
     assert np.array_equal(blocks[(0, 3)], blocks[(3, 0)])
     assert np.array_equal(blocks[(1, 2)], blocks[(2, 1)])
     assert np.array_equal(blocks[(1, 3)], blocks[(2, 0)])
-    # and they sit where the documented layout puts them
-    dense = dense_matrix(disc16, p01, 1)
-    for (bi, bj), block in blocks.items():
-        expected = dense[bi * n:(bi + 1) * n, bj * n:(bj + 1) * n]
-        assert np.allclose(block, expected, rtol=1e-14, atol=0.0)
 
 
 def test_matrix_sign_flip(disc16, p01):
     # the blockwise product matches the dense "+" matrix, and the dense "-"
     # matrix flips it with J = diag(I, -I) as A_- = -J A_+ J
     n = disc16.n
+    order = solver_order(n)
     a_plus = dense_matrix(disc16, p01, 1)
     a_minus = dense_matrix(disc16, p01, -1)
     bs = block_system(disc16, p01)
@@ -110,7 +126,7 @@ def test_matrix_sign_flip(disc16, p01):
     u = rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2))
     v = rng.normal(size=(2 * n, 2)) + 1j * rng.normal(size=(2 * n, 2))
     au, av = bs.apply(u, v)
-    ref = a_plus @ np.vstack([u, v])
+    ref = a_plus[np.ix_(order, order)] @ np.vstack([u, v])
     assert np.allclose(np.vstack([au, av]), ref, rtol=1e-13, atol=1e-13)
     j = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
     assert np.array_equal(a_minus, -(j[:, None] * a_plus * j[None, :]))
@@ -118,30 +134,33 @@ def test_matrix_sign_flip(disc16, p01):
 
 def test_diagonal_entry_independent(p01):
     # re-evaluate one diagonal entry outside the assembler
-    d = build_grid(50, p01)
+    n = 50
+    d = build_grid(n, p01)
     bs = block_system(d, p01)
+    # the four diagonal blocks D1..D4 in the paper's order
+    diag = np.concatenate([bs.diag_a, bs.diag_b])[solver_order(n)]
     k = 25  # 1-based collocation index
     x = d.colloc[k - 1]
     expected = (
         2j * np.pi * np.exp(1j * p01.delta1_minus * np.log(x))
         / kernel_g(2, p01.sigma - 1j / np.pi * np.log(x), p01)
     )
-    assert bs.diag_a[k - 1] == pytest.approx(expected, rel=1e-13)
+    assert diag[k - 1] == pytest.approx(expected, rel=1e-13)
     # third block diagonal pairs the other family with the first component
     expected3 = (
         2j * np.pi * np.exp(1j * p01.delta1_plus * np.log(x))
         / kernel_g(1, p01.sigma - 1j / np.pi * np.log(x), p01)
     )
-    assert bs.diag_b[k - 1] == pytest.approx(expected3, rel=1e-13)
+    assert diag[2 * n + k - 1] == pytest.approx(expected3, rel=1e-13)
 
 
 def test_singular_block_row_sums(disc16, p01):
     # the head column restores the exact row sum M(x_k, delta)
+    blocks = _dense_blocks(block_system(disc16, p01))
     n = disc16.n
-    bs = block_system(disc16, p01)
-    row_sums_13 = bs.x[0:n, 0:n].sum(axis=1)
+    row_sums_13 = blocks[(0, 2)].sum(axis=1)
     assert np.allclose(row_sums_13, disc16.m_plus, rtol=1e-12, atol=1e-12)
-    row_sums_24 = bs.x[n:, n:].sum(axis=1)
+    row_sums_24 = blocks[(1, 3)].sum(axis=1)
     assert np.allclose(row_sums_24, disc16.m_minus, rtol=1e-12, atol=1e-12)
     for k in (1, n):
         assert row_sums_13[k - 1] == pytest.approx(
@@ -159,39 +178,43 @@ def test_rhs_structure(disc16, p01):
     f = rhs_f(disc16.colloc, p01.sigma)
     rhs_a, rhs_b = assemble_rhs(disc16, p01)
     assert rhs_a.shape == rhs_b.shape == (2 * n, 2)
-    r = rhs_a[:, 0]
+    # the forcing r1..r4 in the paper's order
+    rhs = np.concatenate([rhs_a, rhs_b])[solver_order(n)]
+    r = rhs[:, 0]
     assert np.array_equal(r[0:n], -f)
     assert np.array_equal(r[n:2 * n], np.conj(-r[0:n]))
-    assert np.all(rhs_b[:, 0] == 0.0)
-    assert np.all(rhs_a[:, 1] == 0.0)
-    assert np.array_equal(rhs_b[0:n, 1], -f)
-    assert np.array_equal(rhs_b[n:2 * n, 1], np.conj(f))
+    assert np.all(rhs[2 * n:, 0] == 0.0)
+    assert np.all(rhs[:2 * n, 1] == 0.0)
+    assert np.array_equal(rhs[2 * n:3 * n, 1], -f)
+    assert np.array_equal(rhs[3 * n:, 1], np.conj(f))
 
 
 # ---------------------------------------------------------------- solve
 
 
-def _split(a, k=1):
-    """Blocks of a dense matrix whose k x k and trailing blocks are diagonal."""
+def _split(a):
+    """Blocks of a dense 2k x 2k matrix ``[[D_a, K], [K, D_b]]`` with
+    diagonal k x k blocks D_a, D_b and one coupling block K."""
     a = np.asarray(a, dtype=complex)
-    return BlockSystem(
-        diag_a=np.diag(a[:k, :k]), diag_b=np.diag(a[k:, k:]), x=a[:k, k:], y=a[k:, :k]
-    )
+    k = len(a) // 2
+    assert np.array_equal(a[:k, k:], a[k:, :k])
+    return BlockSystem(diag_a=np.diag(a[:k, :k]), diag_b=np.diag(a[k:, k:]), k=a[:k, k:])
 
 
 def test_lu_identity():
-    bs = _split(np.eye(5), k=2)
-    rhs = np.arange(5.0) + 1j
-    u, v = block_solve(bs, rhs[:2, None], rhs[2:, None])
+    bs = _split(np.eye(6))
+    rhs = np.arange(6.0) + 1j
+    u, v = block_solve(bs, rhs[:3, None], rhs[3:, None])
     assert np.array_equal(np.concatenate([u, v])[:, 0], rhs)
 
 
 def test_lu_hand_inverted_case():
-    a = np.array([[1.0 + 1.0j, 2.0], [3.0j, 4.0]])
+    # det = 8 + 4i, so [u; v] = [4; -2i] / (8 + 4i)
+    a = np.array([[1.0 + 1.0j, 2.0j], [2.0j, 4.0]])
     bs = _split(a)
     u, v = block_solve(bs, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
-    assert u[0, 0] == pytest.approx(0.8 + 0.4j, abs=1e-14)
-    assert v[0, 0] == pytest.approx(0.3 - 0.6j, abs=1e-14)
+    assert u[0, 0] == pytest.approx(0.4 - 0.2j, abs=1e-14)
+    assert v[0, 0] == pytest.approx(-0.1 - 0.2j, abs=1e-14)
 
 
 def test_lu_singular_matrix():
@@ -237,13 +260,15 @@ def test_dense_oracle_both_variants():
     for n in (16, 50):
         sol = solve_system(MaterialConfig(), n=n)
         d, p = sol.disc, sol.params
+        order = solver_order(n)
         j = np.concatenate([np.ones(2 * n), -np.ones(2 * n)])
-        rhs = np.concatenate(assemble_rhs(d, p))
+        rhs = np.concatenate(assemble_rhs(d, p))[order]
         for sign in (1, -1):
             a = dense_matrix(d, p, sign)
             for m, flip in ((1, 1.0), (2, -1.0)):
-                # the "-" variant negates the forcing as well
-                ref = sla.solve(a, sign * rhs[:, m - 1])
+                # the "-" variant negates the forcing as well; the dense
+                # solve runs in the paper's layout and is mapped back
+                ref = sla.solve(a, sign * rhs[:, m - 1])[order]
                 got = np.concatenate([sol.f1[:, m - 1], sol.f2[:, m - 1]])
                 if sign == -1:
                     got = flip * j * got
@@ -255,7 +280,8 @@ def test_solve_system_residuals(case50):
     assert set(sol.residuals) == {1, 2}
     for value in sol.residuals.values():
         assert value <= 1e-10
-    # families "-" then "+" in the rows, one column per load component
+    # exponents delta1^+ then delta1^- in the rows of both stacks, one
+    # column per load component
     assert sol.f1.shape == (100, 2)
     assert sol.f2.shape == (100, 2)
 
