@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Single-case runs print a text report; sweeps emit CSV (stdout or --out).
+Maps flags and config-file keys onto a :class:`~gradedload.driver.RunConfig`
+and owns all output: single-case runs print a text report; sweeps emit CSV
+to stdout or write it to --out.
 Exit codes: 0 success, 2 configuration error, 3 numerical gate violation.
 Errors are printed to stderr as ``ErrorName: message`` so scripts can
 match on the class name.
@@ -17,7 +19,8 @@ from .params import MaterialConfig
 
 __all__ = ["main", "build_parser", "parse_config_file"]
 
-_MATERIAL_KEYS = ("nu", "nu_p", "speed_ratio", "h1", "h2", "xi0")
+# the field names of the MaterialConfig dataclass, in order
+_MATERIAL_KEYS = MaterialConfig.__match_args__
 _LIST_KEYS = ("xi", "y")
 _INT_KEYS = ("n",)
 _STR_KEYS = ("sweep", "sweep_range", "out")
@@ -109,8 +112,9 @@ def _merge(args: argparse.Namespace) -> dict:
 def _build_run_config(values: dict) -> RunConfig:
     # keys left unset keep the defaults of MaterialConfig and RunConfig
     material = MaterialConfig(**{k: values[k] for k in _MATERIAL_KEYS if k in values})
-    xi_list = [float(v) for v in values.get("xi", [-1.0])]
-    y_list = [float(v) for v in values.get("y", [0.0])]
+    xi_default, y_default = RunConfig.points[0]
+    xi_list = values.get("xi", [xi_default])
+    y_list = values.get("y", [y_default])
     if len(y_list) == 1 and len(xi_list) > 1:
         y_list = y_list * len(xi_list)
     if len(xi_list) == 1 and len(y_list) > 1:
@@ -120,28 +124,36 @@ def _build_run_config(values: dict) -> RunConfig:
             f"--xi and --y counts differ: {len(xi_list)} vs {len(y_list)}"
         )
     sweep_range = values.get("sweep_range")
-    if isinstance(sweep_range, str):
-        sweep_range = _parse_sweep_range(sweep_range)
     return RunConfig(
         material=material,
         n=values.get("n", RunConfig.n),
         points=tuple(zip(xi_list, y_list)),
         sweep=values.get("sweep"),
-        sweep_range=sweep_range,
-        out=values.get("out"),
+        sweep_range=None if sweep_range is None else _parse_sweep_range(sweep_range),
     )
+
+
+def _write_csv(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write sweep CSV {path}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rc = _build_run_config(_merge(args))
+        values = _merge(args)
+        rc = _build_run_config(values)
         if rc.sweep is not None:
             header, rows = run_sweep(rc)
-            if rc.out is None:
+            out = values.get("out")
+            if out is None:
                 sys.stdout.write(csv_text(header, rows))
             else:
-                print(f"wrote {len(rows)} rows to {rc.out}")
+                _write_csv(out, csv_text(header, rows))
+                print(f"wrote {len(rows)} rows to {out}")
             failed = sum(1 for row in rows if row[-1])
             if rows and failed == len(rows):
                 print("every sweep value failed a numerical gate", file=sys.stderr)

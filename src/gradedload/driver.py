@@ -1,21 +1,27 @@
-"""End-to-end case orchestration: solve, evaluate points, sweep, export.
+"""End-to-end case orchestration: solve, evaluate points, sweep, render.
 
 ``solve_case`` runs the whole chain (derived parameters, collocation solve,
 boundary functionals, load constants, expansion coefficients) once per
 configuration; ``evaluate_point`` takes the coefficients of the side of the
 load a query point lies on (:meth:`CaseSolution.side`) and evaluates the
 fields there with :func:`~gradedload.fields.evaluate_fields`.
-``run_sweep`` repeats a case over a grading or speed grid and renders
-deterministic CSV rows.
+``run_sweep`` repeats a case over a grading or speed grid and returns
+deterministic CSV rows; ``csv_text`` renders them.  Nothing here writes a
+file: the command line does.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import ConfigError, ExpansionRangeError, GradedLoadError
 from .fields import (
+    DEEP_ETA_MIN,
+    NEAR_ETA_MAX,
     BoundaryConstants,
     FieldCoefficients,
     FieldResult,
@@ -23,6 +29,7 @@ from .fields import (
     check_point,
     constants_c,
     evaluate_fields,
+    expansion_range_error,
     field_coeffs,
 )
 from .params import DerivedParams, MaterialConfig
@@ -38,7 +45,6 @@ __all__ = [
     "run_sweep",
     "format_report",
     "csv_text",
-    "write_csv",
 ]
 
 _SWEEP_KINDS = ("nu", "speed")
@@ -46,16 +52,30 @@ _SWEEP_KINDS = ("nu", "speed")
 _MAX_SWEEP_STEPS = 10_000
 
 
+def _floats(value, what: str, names: tuple[str, ...]) -> tuple:
+    """``value`` as a tuple of floats, one for each of ``names``."""
+    try:
+        items = tuple(value)
+        if len(items) == len(names) and all(isinstance(v, numbers.Real) for v in items):
+            return tuple(map(float, items))
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(
+        f"{what} must be ({', '.join(names)}) of real numbers, got {value!r}"
+    )
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs.
+    """Everything one invocation computes; the command line owns the output.
 
     ``points`` are (xi, y) query pairs, each checked against
     :func:`~gradedload.fields.check_point` here, before any solve; a sweep
-    evaluates only the first.  For sweeps, ``sweep`` is "nu" or
-    "speed" and ``sweep_range`` is (start, stop, step); the grid includes
-    ``stop`` when a whole number of steps reaches it, up to float drift, and
-    never goes past it.
+    evaluates only the first, and refuses it here if it falls between the
+    two expansion ranges.  For sweeps, ``sweep`` is "nu" or "speed" and
+    ``sweep_range`` is (start, stop, step); the grid includes ``stop`` when
+    a whole number of steps reaches it, up to float drift, and never goes
+    past it.  Points and range are stored as Python floats.
     """
 
     material: MaterialConfig = field(default_factory=MaterialConfig)
@@ -63,7 +83,6 @@ class RunConfig:
     points: tuple = ((-1.0, 0.0),)
     sweep: str | None = None
     sweep_range: tuple | None = None
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.sweep is not None:
@@ -73,12 +92,9 @@ class RunConfig:
                 )
             if self.sweep_range is None:
                 raise ConfigError("sweep requested without a sweep range")
-            try:
-                start, stop, step = self.sweep_range
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"sweep range must be (start, stop, step), got {self.sweep_range!r}"
-                ) from None
+            sweep_range = _floats(self.sweep_range, "sweep range", ("start", "stop", "step"))
+            object.__setattr__(self, "sweep_range", sweep_range)
+            start, stop, step = self.sweep_range
             if not all(math.isfinite(v) for v in self.sweep_range):
                 raise ConfigError(
                     f"sweep range must be finite, got {self.sweep_range}"
@@ -104,8 +120,20 @@ class RunConfig:
                     )
         if not self.points:
             raise ConfigError("at least one query point is required")
+        try:
+            points = tuple(_floats(point, "query point", ("xi", "y")) for point in self.points)
+        except TypeError:
+            raise ConfigError(
+                f"points must be a sequence of (xi, y) pairs, got {self.points!r}"
+            ) from None
+        object.__setattr__(self, "points", points)
         for xi, y in self.points:
             check_point(xi, y, self.material.xi0)
+        if self.sweep is not None:
+            xi, y = self.points[0]
+            eta = y / abs(xi - self.material.xi0)
+            if NEAR_ETA_MAX < eta < DEEP_ETA_MIN:
+                raise expansion_range_error(eta)
 
 
 @dataclass(frozen=True)
@@ -241,24 +269,20 @@ def _sweep_values(sweep_range: tuple) -> list[float]:
     # its bits unless it would leave the (0, 1) gate; then it is clamped back
     # to the validated stop.
     start, stop, step = sweep_range
-    values = []
-    k = 0
-    while True:
-        value = start + k * step
-        if value > stop + 1e-9 * step:
-            break
-        values.append(stop if value >= 1.0 else value)
-        k += 1
-    return values
+    if stop < start:
+        return []
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    values = start + step * np.arange(count)
+    return np.where(values < 1.0, values, stop).tolist()
 
 
 def run_sweep(rc: RunConfig) -> tuple[list[str], list[list[str]]]:
     """Sweep one parameter, evaluating the first query point per value.
 
-    Returns the CSV header and rows (all strings, 10 significant digits).
-    Numerical failures at individual sweep values are recorded in the
-    ``error`` column instead of aborting; configuration errors propagate.
-    If ``rc.out`` is set the table is also written there.
+    Returns the CSV header and rows (all strings, 10 significant digits),
+    which :func:`csv_text` renders.  Numerical failures at individual sweep
+    values are recorded in the ``error`` column instead of aborting;
+    configuration errors propagate.
     """
     if rc.sweep is None:
         raise ConfigError("run_sweep called without a sweep parameter")
@@ -294,8 +318,6 @@ def run_sweep(rc: RunConfig) -> tuple[list[str], list[list[str]]]:
             _fmt(delta.imag),
             "",
         ])
-    if rc.out is not None:
-        write_csv(rc.out, header, rows)
     return header, rows
 
 
@@ -310,8 +332,3 @@ def csv_text(header: list[str], rows: list[list[str]]) -> str:
     writer.writerows(rows)
     return buffer.getvalue()
 
-
-def write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    """Write a CSV table to ``path`` byte-identically to :func:`csv_text`."""
-    with open(path, "w", newline="") as handle:
-        handle.write(csv_text(header, rows))

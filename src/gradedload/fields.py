@@ -43,6 +43,7 @@ __all__ = [
     "constants_c",
     "field_coeffs",
     "check_point",
+    "expansion_range_error",
     "NEAR_ETA_MAX",
     "DEEP_ETA_MIN",
 ]
@@ -262,6 +263,18 @@ def check_point(xi: float, y: float, xi0: float) -> None:
         raise SingularPointError("field expansions diverge at the load point xi = xi0")
 
 
+def expansion_range_error(eta: float) -> ExpansionRangeError:
+    """The error for an eta between the near and the deep range.
+
+    :func:`evaluate_fields` raises it for such a point, and
+    :class:`gradedload.driver.RunConfig` for the point of a sweep.
+    """
+    return ExpansionRangeError(
+        f"eta = {eta:.3f} falls between the near range (<= {NEAR_ETA_MAX}) "
+        f"and the deep range (>= {DEEP_ETA_MIN})"
+    )
+
+
 def evaluate_fields(
     coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
 ) -> FieldResult:
@@ -345,7 +358,4 @@ def evaluate_fields(
         raise SingularPointError(
             f"fields at |xi - xi0| = {dist:.3e}, y = {y:.3e} leave the floating-point range"
         ) from None
-    raise ExpansionRangeError(
-        f"eta = {eta:.3f} falls between the near range (<= {NEAR_ETA_MAX}) "
-        f"and the deep range (>= {DEEP_ETA_MIN})"
-    )
+    raise expansion_range_error(eta)

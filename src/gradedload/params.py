@@ -13,6 +13,7 @@ kernel near the fixed singularity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, OscillationRegimeError, SubsonicViolation
@@ -45,7 +46,7 @@ class MaterialConfig:
         Load position in the moving frame.
 
     Each field is stored as a Python ``float``, whatever real type it was
-    given as.
+    given as; a value of no real type is refused.
     """
 
     nu: float = 0.1
@@ -56,6 +57,10 @@ class MaterialConfig:
     xi0: float = 0.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not isinstance(v, numbers.Real):
+                raise ConfigError(f"{f.name} must be a real number, got {v!r}")
         if not (0.0 < self.nu < 1.0):
             raise ConfigError(f"grading exponent nu must lie in (0, 1), got {self.nu}")
         if not (0.0 <= self.nu_p < 0.5):

@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, exit codes, output."""
 
+import pathlib
 import shutil
 import subprocess
 
@@ -25,8 +26,8 @@ def test_supersonic_exit_code(capsys):
 
 
 def test_bad_sweep_range(capsys, monkeypatch):
-    # refused while the config is built; the sweep itself, whose grid would
-    # never end on a NaN bound, must not be reached
+    # refused while the config is built; the sweep itself, which has no
+    # grid count for a NaN bound, must not be reached
     monkeypatch.setattr(cli, "run_sweep", lambda rc: pytest.fail("sweep reached"))
     assert main(["--sweep", "nu", "--sweep-range", "a:b:c"]) == 2
     assert "sweep range" in capsys.readouterr().err
@@ -57,6 +58,24 @@ def test_non_finite_query_point_exit_code(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "ConfigError: query coordinate xi must be finite, got nan" in captured.err
+
+
+def test_sweep_gap_point_refused_before_solve(capsys, monkeypatch):
+    # a sweep evaluates only its first point; one between the expansion
+    # ranges is refused while the config is built, as a single case's
+    # evaluate_point would refuse it
+    monkeypatch.setattr(
+        driver, "solve_system", lambda *args, **kw: pytest.fail("solve reached")
+    )
+    argv = ["--n", "1600", "--sweep", "nu", "--sweep-range", "0.1:0.3:0.1",
+            "--xi", "-1", "--y", "1.5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ExpansionRangeError: eta = 1.500 falls between the near range (<= 1.0) "
+        "and the deep range (>= 2.0)\n"
+    )
 
 
 def test_unrepresentable_point_exit_code(capsys):
@@ -109,6 +128,42 @@ def test_sweep_to_file_deterministic(tmp_path, capsys):
     first = path.read_bytes()
     assert main(argv) == 0
     assert path.read_bytes() == first
+
+
+def test_sweep_to_unwritable_file(tmp_path, capsys):
+    path = tmp_path / "absent" / "sweep.csv"
+    argv = ["--n", "25", "--sweep", "nu", "--sweep-range", "0.1:0.2:0.1",
+            "--out", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ConfigError: cannot write sweep CSV {path}: ")
+    assert not path.exists()
+
+
+# the README's command-line examples at n = 100, and the files holding
+# their output as first published; a change that moves the numbers on
+# purpose regenerates the files
+README_RUNS = (
+    (["--nu", "0.3", "--speed-ratio", "0.2", "--n", "100", "--xi", "-1",
+      "--y", "0", "--y", "0.3"], "readme_single_case.txt"),
+    (["--sweep", "nu", "--sweep-range", "0.1:0.5:0.05", "--n", "100"],
+     "readme_sweep_nu.csv"),
+    (["--sweep", "speed", "--sweep-range", "0.1:0.9:0.1", "--nu", "0.3"],
+     "readme_sweep_speed.csv"),
+)
+
+
+@pytest.mark.parametrize("argv, name", README_RUNS, ids=[name for _, name in README_RUNS])
+def test_readme_outputs_unchanged(argv, name, tmp_path, capsysbinary):
+    expected = (pathlib.Path(__file__).parent / "data" / name).read_bytes()
+    assert main(argv) == 0
+    assert capsysbinary.readouterr().out == expected
+    if "--sweep" in argv:
+        path = tmp_path / name
+        assert main(argv + ["--out", str(path)]) == 0
+        assert capsysbinary.readouterr().out == f"wrote 9 rows to {path}\n".encode()
+        assert path.read_bytes() == expected
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

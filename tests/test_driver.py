@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import gradedload.driver as driver
@@ -9,6 +10,7 @@ from gradedload import (
     CaseSolution,
     ConfigError,
     DegenerateDeterminantError,
+    ExpansionRangeError,
     MaterialConfig,
     RunConfig,
     SingularPointError,
@@ -16,7 +18,7 @@ from gradedload import (
     run_case,
     run_sweep,
 )
-from gradedload.driver import _fmtc, csv_text, format_report, write_csv
+from gradedload.driver import _fmtc, csv_text, format_report
 
 
 # ---------------------------------------------------------------- solve_case
@@ -85,8 +87,6 @@ def test_evaluate_point_deep(case50):
 
 
 def test_evaluate_point_gates(case50):
-    from gradedload import ExpansionRangeError
-
     with pytest.raises(ExpansionRangeError):
         evaluate_point(case50, -1.0, 1.5)
     with pytest.raises(SingularPointError):
@@ -179,9 +179,33 @@ def test_run_config_gates():
         RunConfig(material=MaterialConfig(xi0=0.5), points=((0.5, 0.3),))
 
 
+def test_run_config_types_malformed_inputs():
+    # each is refused by name as a ConfigError, not an untyped TypeError or
+    # ValueError from unpacking or comparing it
+    for kwargs, message in (
+        (dict(points=(-1.0, 0.0)), r"query point must be \(xi, y\) of real numbers, got -1.0"),
+        (dict(points=((1.0, 2.0, 3.0),)), r"query point must be \(xi, y\)"),
+        (dict(points=3), r"points must be a sequence of \(xi, y\) pairs, got 3"),
+        (dict(points=((-1.0, "x"),)),
+         r"query point must be \(xi, y\) of real numbers, got \(-1.0, 'x'\)"),
+        (dict(sweep="nu", sweep_range=("a", 0.5, 0.1)),
+         r"sweep range must be \(start, stop, step\) of real numbers, got \('a', 0.5, 0.1\)"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**kwargs)
+
+
+def test_run_config_stores_floats():
+    rc = RunConfig(
+        points=((-1, np.float64(0.5)),), sweep="nu", sweep_range=[np.float64(0.1), 0.5, 0.1]
+    )
+    assert rc.points == ((-1.0, 0.5),) and rc.sweep_range == (0.1, 0.5, 0.1)
+    assert all(type(v) is float for v in rc.points[0] + rc.sweep_range)
+
+
 def test_run_config_rejects_non_finite_range():
-    # a NaN passes every ordered comparison as false and an infinite step
-    # never leaves the grid loop, so each must be refused up front
+    # a NaN passes every ordered comparison as false and an infinite bound
+    # or step gives no grid count, so each must be refused up front
     for bad in (math.nan, math.inf, -math.inf):
         for pos in range(3):
             sweep_range = [0.1, 0.5, 0.1]
@@ -210,12 +234,40 @@ def test_sweep_values_inclusive():
     )
     assert len(driver._sweep_values((0.1, 0.5, 0.05))) == 9
     assert driver._sweep_values((0.5, 0.1, 0.1)) == []
+    # stop < start is an empty sweep even when drift-close to one value
+    assert driver._sweep_values((0.5, 0.5 - 1e-12, 0.1)) == []
+    assert driver._sweep_values((0.5, 0.5, 0.1)) == [0.5]
     # a step past the endpoint is left out, not rounded back in
     assert driver._sweep_values((0.5, 0.99, 0.5)) == [0.5]
     # a drifted endpoint keeps its bits inside the gate and is clamped to
     # the validated stop where it would reach 1
     assert driver._sweep_values((0.1, 0.3, 0.1))[-1] == 0.1 + 2 * 0.1
     assert driver._sweep_values((0.5, 1 - 1e-11, 0.5)) == [0.5, 1 - 1e-11]
+
+
+def _sweep_values_by_loop(start, stop, step):
+    # reference: step k by k until a value passes stop by more than drift
+    values = []
+    k = 0
+    while start + k * step <= stop + 1e-9 * step:
+        value = start + k * step
+        values.append(stop if value >= 1.0 else value)
+        k += 1
+    return values
+
+
+def test_sweep_values_match_loop():
+    # the grid from one count equals stepping until the endpoint is passed,
+    # bit for bit, on every two-decimal range in (0, 1) and common steps
+    ranges = [
+        (a / 100, b / 100, step)
+        for a in range(1, 100)
+        for b in range(a, 100)
+        for step in (0.01, 0.03, 0.05, 0.07, 0.1, 0.25, 0.5)
+    ]
+    ranges += [(0.5, 1 - 1e-11, 0.5), (0.1, 0.5, 1e-4), (0.3, 0.9, 0.4)]
+    for sweep_range in ranges:
+        assert driver._sweep_values(sweep_range) == _sweep_values_by_loop(*sweep_range)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -295,16 +347,23 @@ def test_sweep_error_column(monkeypatch):
     assert all(cell == "" for cell in rows[1][1:-1])
 
 
-def test_sweep_rejects_gap_point():
-    rc = RunConfig(n=25, sweep="nu", sweep_range=(0.1, 0.2, 0.1), points=((-1.0, 1.5),))
-    with pytest.raises(ConfigError):
-        run_sweep(rc)
+def test_sweep_rejects_gap_point(case50):
+    # a sweep evaluates only its first point, so a gap point there is refused
+    # while the config is built, with the error evaluate_point gives it;
+    # a single case marks the same point out-of-range instead
+    with pytest.raises(ExpansionRangeError) as at_point:
+        evaluate_point(case50, -1.0, 1.5)
+    with pytest.raises(ExpansionRangeError) as at_config:
+        RunConfig(n=25, sweep="nu", sweep_range=(0.1, 0.2, 0.1), points=((-1.0, 1.5),))
+    assert str(at_config.value) == str(at_point.value)
+    RunConfig(n=25, points=((-1.0, 1.5),))
+    RunConfig(n=25, sweep="nu", sweep_range=(0.1, 0.2, 0.1), points=((-1.0, 0.0), (-1.0, 1.5)))
 
 
 # ---------------------------------------------------------------- CSV
 
 
-def test_csv_deterministic(tmp_path):
+def test_csv_deterministic():
     rc1 = RunConfig(n=25, sweep="nu", sweep_range=(0.1, 0.3, 0.1))
     header1, rows1 = run_sweep(rc1)
     header2, rows2 = run_sweep(
@@ -314,14 +373,3 @@ def test_csv_deterministic(tmp_path):
     text = csv_text(header1, rows1)
     assert text.startswith("sweep_value,u1,u2,")
     assert "\r\n" in text
-    path = tmp_path / "sweep.csv"
-    write_csv(path, header1, rows1)
-    assert path.read_bytes() == text.encode()
-
-
-def test_sweep_writes_out_file(tmp_path):
-    path = tmp_path / "out.csv"
-    rc = RunConfig(n=25, sweep="nu", sweep_range=(0.1, 0.2, 0.1), out=str(path))
-    header, rows = run_sweep(rc)
-    assert path.exists()
-    assert path.read_text().count("\n") == 1 + len(rows)

@@ -124,11 +124,16 @@ def test_config_gates():
         MaterialConfig(h1=math.inf)
     with pytest.raises(ConfigError):
         MaterialConfig(xi0=math.nan)
+    # a value of no real type is refused by name before any comparison
+    for name in ("nu", "nu_p", "speed_ratio", "h1", "h2", "xi0"):
+        for bad in ("0.3", None, 0.3 + 0j):
+            with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+                MaterialConfig(**{name: bad})
 
 
 def test_numpy_scalars_stored_as_float():
     # numpy scalars would carry numpy arithmetic into every later stage;
-    # the checks still run on the value as given, so a string still fails
+    # a value of no real type, even a numeric string, is refused by name
     given_values = dict(nu=0.3, nu_p=0.25, speed_ratio=0.4, h1=-1.0, h2=0.5, xi0=0.1)
     config = MaterialConfig(**{k: np.float64(v) for k, v in given_values.items()})
     for name, value in given_values.items():
@@ -137,7 +142,7 @@ def test_numpy_scalars_stored_as_float():
     assert config == MaterialConfig(**given_values)
     p = derive_params(config)
     assert type(p.nu) is float and type(p.sigma) is float
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigError, match="nu must be a real number, got '0.3'"):
         MaterialConfig(nu="0.3")
 
 
