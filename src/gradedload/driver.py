@@ -203,11 +203,7 @@ def run_case(rc: RunConfig) -> CaseReport:
             res = evaluate_point(case, xi, y)
         except ExpansionRangeError:
             eta = y / abs(xi - case.config.xi0)
-            res = FieldResult(
-                xi=xi, y=y, eta=eta, expansion="out-of-range",
-                u1=None, u2=None, du1_dxi=None, du2_dxi=None,
-                s12=None, s22=None, imag_residue=0.0,
-            )
+            res = FieldResult(xi=xi, y=y, eta=eta, expansion="out-of-range")
         results.append(res)
     return CaseReport(case=case, results=tuple(results))
 

@@ -10,7 +10,9 @@ eta = y/|xi - xi0|) or at depth (large eta).  The coefficients of both
 sides of the load are built in one call per case; the fields at a point
 come from one function, :func:`evaluate_fields`, on Python floats and
 complex numbers only, which the public entry point
-:func:`gradedload.driver.evaluate_point` calls.
+:func:`gradedload.driver.evaluate_point` calls.  Each point's fields come
+back as a :class:`FieldResult`, an immutable named tuple: a field map
+builds one per point, and a tuple is the cheapest record to build.
 
 Physical outputs are real; the computed complex values carry a small
 imaginary residue from the discretization, which is recorded and projected
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,39 +203,52 @@ def field_coeffs(
     return side(1.0), side(-1.0)
 
 
-@dataclass(frozen=True)
-class FieldResult:
-    """Evaluated fields at one query point.
+class FieldResult(NamedTuple):
+    """Evaluated fields at one query point, an immutable named tuple.
 
     ``expansion`` is "near" (eta <= NEAR_ETA_MAX: displacements,
     derivatives and stresses available), "deep" (eta >= DEEP_ETA_MIN:
     derivatives only) or "out-of-range" (eta between the two expansions:
     nothing available).
-    Unavailable entries are None.  ``imag_residue`` is the largest relative
-    imaginary residue projected out of the reported values.
+    Unavailable entries are None, the default of the six field entries.
+    ``imag_residue`` is the largest relative imaginary residue projected
+    out of the reported values, 0.0 when nothing is reported.
     """
 
     xi: float
     y: float
     eta: float
     expansion: str
-    u1: float | None
-    u2: float | None
-    du1_dxi: float | None
-    du2_dxi: float | None
-    s12: float | None
-    s22: float | None
-    imag_residue: float
+    u1: float | None = None
+    u2: float | None = None
+    du1_dxi: float | None = None
+    du2_dxi: float | None = None
+    s12: float | None = None
+    s22: float | None = None
+    imag_residue: float = 0.0
 
 
 def _project(a: complex, b: complex) -> tuple[float, float, float]:
-    """Real parts of a field pair and its relative imaginary residue."""
-    scale = max(abs(a), abs(b))
+    """Real parts of a field pair and its relative imaginary residue.
+
+    The scale is ``max(abs(a), abs(b))`` and the residue
+    ``max(abs(a.imag), abs(b.imag)) / scale``, written as comparisons that
+    keep ``max``'s choice on ties and NaN: the second value wins only if
+    it compares greater.
+    """
+    scale = abs(a)
+    other = abs(b)
+    if other > scale:
+        scale = other
     if not math.isfinite(scale):
         raise OverflowError("field value is not finite")
     if scale == 0.0:
         return 0.0, 0.0, 0.0
-    residue = max(abs(a.imag), abs(b.imag)) / scale
+    top = abs(a.imag)
+    other = abs(b.imag)
+    if other > top:
+        top = other
+    residue = top / scale
     if residue > _RESIDUE_SANITY:
         raise RealnessError(
             f"imaginary residue {residue:.3e} exceeds sanity bound {_RESIDUE_SANITY}"
@@ -351,8 +367,7 @@ def evaluate_fields(
             du1, du2, r_du = _project(e1[0] * tail / scale, e1[1] * tail / scale)
             return FieldResult(
                 xi=xi, y=y, eta=eta, expansion="deep",
-                u1=None, u2=None, du1_dxi=du1, du2_dxi=du2, s12=None, s22=None,
-                imag_residue=r_du,
+                du1_dxi=du1, du2_dxi=du2, imag_residue=r_du,
             )
     except (OverflowError, ZeroDivisionError):
         raise SingularPointError(

@@ -73,7 +73,13 @@ class MaterialConfig:
             )
         for name in ("h1", "h2", "xi0"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond the float range
+                raise ConfigError(
+                    f"{name} must be finite, got an integer beyond the float range"
+                ) from None
+            if not finite:
                 raise ConfigError(f"{name} must be finite, got {v}")
         # numpy scalars would carry numpy arithmetic into every later stage
         for f in fields(self):

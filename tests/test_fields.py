@@ -11,10 +11,11 @@ from gradedload import (
     DegenerateDeterminantError,
     ExpansionRangeError,
     MaterialConfig,
+    RealnessError,
     SingularPointError,
     evaluate_point,
 )
-from gradedload.fields import boundary_phi, constants_c
+from gradedload.fields import FieldResult, _project, boundary_phi, constants_c
 from gradedload.system import SIESolution
 
 # regression values from this implementation (cross-checked against the
@@ -298,8 +299,14 @@ def test_deep_derivative_formula(case100):
 def test_evaluate_point_is_the_written_expansion(case100):
     # the near and deep expansions written out from d0, d2 and e1 alone, at
     # a surface, a near and a deep point on each side of the load at xi0 = 0
+    # imag_residue is the largest over the field pairs of
+    # max(|Im a|, |Im b|) / max(|a|, |b|), 0.0 for the surface stresses
     p = case100.params
     nu, lam0 = p.nu, p.cd2_cs2 - 2.0
+
+    def residue(a, b):
+        return max(abs(a.imag), abs(b.imag)) / max(abs(a), abs(b))
+
     for xi in (-1.3, 0.7):
         co = case100.coeffs_plus if xi < 0.0 else case100.coeffs_minus
         d0, d2, e1 = co.d0, co.d2, co.e1
@@ -333,12 +340,83 @@ def test_evaluate_point_is_the_written_expansion(case100):
                 assert (res.du1_dxi, res.du2_dxi) == (du[0].real, du[1].real)
                 if y == 0.0:
                     assert (res.s12, res.s22) == (0.0, 0.0)
+                    r_s = 0.0
                 else:
                     assert (res.s12, res.s22) == (s[0].real, s[1].real)
+                    r_s = residue(*s)
+                assert res.imag_residue == max(residue(*u), residue(*du), r_s)
             else:
                 du = [e1[j] * eta ** (nu - 1.0) / (math.pi * xi * y**nu) for j in (0, 1)]
                 assert res.expansion == "deep"
                 assert (res.du1_dxi, res.du2_dxi) == (du[0].real, du[1].real)
+                assert res.imag_residue == residue(*du)
+
+
+def _project_by_max(a, b):
+    # the definition of fields._project, written with max()
+    scale = max(abs(a), abs(b))
+    if not math.isfinite(scale):
+        raise OverflowError("field value is not finite")
+    if scale == 0.0:
+        return 0.0, 0.0, 0.0
+    residue = max(abs(a.imag), abs(b.imag)) / scale
+    if residue > 1e-2:
+        raise RealnessError(f"imaginary residue {residue:.3e} exceeds sanity bound 0.01")
+    return a.real, b.real, residue
+
+
+def test_project_is_the_max_definition():
+    # same values, or the same error class and message, as the max()-based
+    # definition, including max()'s choice on ties and its NaN order: a NaN
+    # magnitude in the first slot is the scale, one in the second is not
+    nan, inf = math.nan, math.inf
+
+    def outcome(project, a, b):
+        try:
+            return repr(project(a, b))
+        except (OverflowError, RealnessError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    pairs = [
+        (1.0 + 1e-3j, 1.0 - 1e-3j),  # equal magnitudes, equal imaginary parts
+        (1e-3 + 1.0j, 1.0 + 1e-3j),  # equal magnitudes, all of the first imaginary
+        (0j, 0j), (-0j, complex(0.0, -0.0)),  # all-zero pairs
+        (0j, 2.0 - 1e-5j), (3.0 + 2e-4j, 0j),
+        (complex(nan, 0.0), 1.0 + 1e-5j), (1.0 + 1e-5j, complex(nan, 0.0)),
+        (complex(1.0, nan), 1.0), (1.0 + 1e-5j, complex(0.5, nan)),
+        (complex(inf, 0.0), 1.0), (1.0, complex(0.0, -inf)), (complex(inf, nan), 1.0),
+        (complex(1.0, 0.0101), 0.5),  # residue 1.010e-02, just above the bound
+        (complex(1.0, 0.0099), 0.5),  # just below it
+    ]
+    for a, b in pairs:
+        assert outcome(_project, a, b) == outcome(_project_by_max, a, b), (a, b)
+    # the pairs reach every outcome
+    assert outcome(_project, 0j, 0j) == "(0.0, 0.0, 0.0)"
+    assert outcome(_project, 1.0 + 1e-5j, complex(nan, 0.0)).startswith("(1.0, nan, ")
+    assert outcome(_project, complex(nan, 0.0), 1.0) == "OverflowError: field value is not finite"
+    assert outcome(_project, 1.0, complex(0.0, inf)) == "OverflowError: field value is not finite"
+    assert outcome(_project, complex(1.0, 0.0101), 0.5) == (
+        "RealnessError: imaginary residue 1.010e-02 exceeds sanity bound 0.01"
+    )
+
+
+def test_field_result_record():
+    # an immutable named tuple in the order and repr of the earlier dataclass;
+    # the six fields default to None and the residue to 0.0
+    assert FieldResult._fields == (
+        "xi", "y", "eta", "expansion", "u1", "u2", "du1_dxi", "du2_dxi",
+        "s12", "s22", "imag_residue",
+    )
+    res = FieldResult(xi=-1.0, y=1.5, eta=1.5, expansion="out-of-range")
+    assert res == (-1.0, 1.5, 1.5, "out-of-range", None, None, None, None, None, None, 0.0)
+    assert repr(res) == (
+        "FieldResult(xi=-1.0, y=1.5, eta=1.5, expansion='out-of-range', u1=None, "
+        "u2=None, du1_dxi=None, du2_dxi=None, s12=None, s22=None, imag_residue=0.0)"
+    )
+    with pytest.raises(AttributeError):
+        res.u1 = 0.0
+    with pytest.raises(AttributeError):
+        res.extra = 0.0
 
 
 def test_deep_derivative_realness(case100):

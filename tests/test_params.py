@@ -131,6 +131,16 @@ def test_config_gates():
                 MaterialConfig(**{name: bad})
 
 
+def test_int_beyond_float_range_refused():
+    # math.isfinite cannot take such an int; the refusal names the field,
+    # while an int inside the float range is stored as its float
+    for name in ("h1", "h2", "xi0"):
+        for huge in (10**400, -(10**400)):
+            with pytest.raises(ConfigError, match=f"^{name} must be finite, got an integer"):
+                MaterialConfig(**{name: huge})
+        assert getattr(MaterialConfig(**{name: 10**300}), name) == 1e300
+
+
 def test_numpy_scalars_stored_as_float():
     # numpy scalars would carry numpy arithmetic into every later stage;
     # a value of no real type, even a numeric string, is refused by name
