@@ -26,13 +26,12 @@ from .fields import (
     FieldCoefficients,
     FieldResult,
     boundary_phi,
-    check_point,
     constants_c,
     evaluate_fields,
-    expansion_range_error,
     field_coeffs,
+    locate,
 )
-from .params import DerivedParams, MaterialConfig
+from .params import DerivedParams, MaterialConfig, real_float
 from .system import SIESolution, solve_system
 
 __all__ = [
@@ -53,12 +52,12 @@ _MAX_SWEEP_STEPS = 10_000
 
 
 def _floats(value, what: str, names: tuple[str, ...]) -> tuple:
-    """``value`` as a tuple of floats, one for each of ``names``."""
+    """``value`` as a tuple of floats (:func:`real_float`), one per name."""
     try:
         items = tuple(value)
         if len(items) == len(names) and all(isinstance(v, numbers.Real) for v in items):
-            return tuple(map(float, items))
-    except (TypeError, OverflowError):
+            return tuple(real_float(v, f"{what} {name}") for v, name in zip(items, names))
+    except TypeError:
         pass
     raise ConfigError(
         f"{what} must be ({', '.join(names)}) of real numbers, got {value!r}"
@@ -69,10 +68,11 @@ def _floats(value, what: str, names: tuple[str, ...]) -> tuple:
 class RunConfig:
     """Everything one invocation computes; the command line owns the output.
 
-    ``points`` are (xi, y) query pairs, each checked against
-    :func:`~gradedload.fields.check_point` here, before any solve; a sweep
-    evaluates only the first, and refuses it here if it falls between the
-    two expansion ranges.  For sweeps, ``sweep`` is "nu" or "speed" and
+    ``points`` are (xi, y) query pairs, each placed by
+    :func:`~gradedload.fields.locate` here, before any solve.  A sweep
+    evaluates only the first, so it refuses a first point between the two
+    expansion ranges (:class:`ExpansionRangeError`), which a single case
+    reports as "out-of-range".  For sweeps, ``sweep`` is "nu" or "speed" and
     ``sweep_range`` is (start, stop, step); the grid includes ``stop`` when
     a whole number of steps reaches it, up to float drift, and never goes
     past it.  Points and range are stored as Python floats.
@@ -118,22 +118,21 @@ class RunConfig:
                         f"sweep range {self.sweep_range} takes {steps:.3g} steps, "
                         f"more than the cap of {_MAX_SWEEP_STEPS}"
                     )
-        if not self.points:
-            raise ConfigError("at least one query point is required")
         try:
             points = tuple(_floats(point, "query point", ("xi", "y")) for point in self.points)
         except TypeError:
             raise ConfigError(
                 f"points must be a sequence of (xi, y) pairs, got {self.points!r}"
             ) from None
+        if not points:
+            raise ConfigError("at least one query point is required")
         object.__setattr__(self, "points", points)
-        for xi, y in self.points:
-            check_point(xi, y, self.material.xi0)
-        if self.sweep is not None:
-            xi, y = self.points[0]
-            eta = y / abs(xi - self.material.xi0)
-            if NEAR_ETA_MAX < eta < DEEP_ETA_MIN:
-                raise expansion_range_error(eta)
+        eta, expansion = [locate(xi, y, self.material.xi0) for xi, y in points][0]
+        if self.sweep is not None and expansion == "out-of-range":
+            raise ExpansionRangeError(
+                f"eta = {eta:.3f} falls between the near range (<= {NEAR_ETA_MAX}) "
+                f"and the deep range (>= {DEEP_ETA_MIN})"
+            )
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,9 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
     """Evaluate displacements, derivatives and stresses at one point.
 
     Uses the near-surface expansion for eta = y/|xi - xi0| <= 1 and the
-    deep one for eta >= 2; the gap in between has no valid expansion and
-    raises :class:`ExpansionRangeError`.
+    deep one for eta >= 2.  The gap in between has no valid expansion: a
+    point there comes back as a record with ``expansion == "out-of-range"``
+    and every field None, the same record :func:`run_case` reports.
     """
     return evaluate_fields(case.side(xi), xi, case.config.xi0, y, case.params)
 
@@ -193,19 +193,14 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
 def run_case(rc: RunConfig) -> CaseReport:
     """Solve a configuration and evaluate every query point.
 
-    Points falling between the two expansion ranges are reported as
-    "out-of-range" rather than failing the whole run.
+    Each result is :func:`evaluate_point`'s record, so a point between the
+    two expansion ranges is reported as "out-of-range" and the others still
+    carry their fields.
     """
     case = solve_case(rc.material, n=rc.n)
-    results = []
-    for xi, y in rc.points:
-        try:
-            res = evaluate_point(case, xi, y)
-        except ExpansionRangeError:
-            eta = y / abs(xi - case.config.xi0)
-            res = FieldResult(xi=xi, y=y, eta=eta, expansion="out-of-range")
-        results.append(res)
-    return CaseReport(case=case, results=tuple(results))
+    return CaseReport(
+        case=case, results=tuple(evaluate_point(case, xi, y) for xi, y in rc.points)
+    )
 
 
 def _fmt(value: float) -> str:

@@ -37,7 +37,7 @@ class SingularPointError(ConfigError):
 
 
 class ExpansionRangeError(ConfigError):
-    """Query point falls between the near-surface and deep expansion ranges."""
+    """A sweep's first query point lies between the two expansion ranges."""
 
 
 class OscillationRegimeError(GradedLoadError):

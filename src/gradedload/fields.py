@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateDeterminantError,
-    ExpansionRangeError,
     RealnessError,
     SingularPointError,
 )
@@ -45,8 +44,7 @@ __all__ = [
     "boundary_phi",
     "constants_c",
     "field_coeffs",
-    "check_point",
-    "expansion_range_error",
+    "locate",
     "NEAR_ETA_MAX",
     "DEEP_ETA_MIN",
 ]
@@ -256,19 +254,22 @@ def _project(a: complex, b: complex) -> tuple[float, float, float]:
     return a.real, b.real, residue
 
 
-def check_point(xi: float, y: float, xi0: float) -> None:
-    """Refuse a query point at which no expansion can be evaluated.
+def locate(xi: float, y: float, xi0: float) -> tuple[float, str]:
+    """The one point rule: ``eta = y/|xi - xi0|`` and the expansion there.
 
-    The one point rule: xi and y finite, y >= 0 and xi != xi0.  Both
-    :class:`gradedload.driver.RunConfig` and :func:`evaluate_fields` apply
-    it, so a bad point is refused before any solve.
+    xi and y must be finite, y >= 0, xi != xi0 and eta finite.  The
+    expansion is "near" for eta <= NEAR_ETA_MAX, "deep" for
+    eta >= DEEP_ETA_MIN and "out-of-range" in between.
+    :class:`gradedload.driver.RunConfig` locates every point before any
+    solve, and :func:`evaluate_fields` the point it evaluates.
 
     Raises
     ------
     ConfigError
         If xi or y is not finite, or y < 0.
     SingularPointError
-        At the load point xi = xi0, where the expansions diverge.
+        At the load point xi = xi0, where the expansions diverge, or so
+        near it that eta leaves the floating-point range.
     """
     if not (math.isfinite(xi) and math.isfinite(y)):
         name, value = ("y", y) if math.isfinite(xi) else ("xi", xi)
@@ -277,52 +278,50 @@ def check_point(xi: float, y: float, xi0: float) -> None:
         raise ConfigError(f"depth coordinate y must be >= 0, got {y}")
     if xi == xi0:
         raise SingularPointError("field expansions diverge at the load point xi = xi0")
-
-
-def expansion_range_error(eta: float) -> ExpansionRangeError:
-    """The error for an eta between the near and the deep range.
-
-    :func:`evaluate_fields` raises it for such a point, and
-    :class:`gradedload.driver.RunConfig` for the point of a sweep.
-    """
-    return ExpansionRangeError(
-        f"eta = {eta:.3f} falls between the near range (<= {NEAR_ETA_MAX}) "
-        f"and the deep range (>= {DEEP_ETA_MIN})"
-    )
+    dist = abs(xi - xi0)
+    eta = y / dist
+    if eta <= NEAR_ETA_MAX:
+        return eta, "near"
+    if eta < DEEP_ETA_MIN:
+        return eta, "out-of-range"
+    if math.isinf(eta):
+        raise SingularPointError(
+            f"eta at |xi - xi0| = {dist:.3e}, y = {y:.3e} leaves the floating-point range"
+        )
+    return eta, "deep"
 
 
 def evaluate_fields(
     coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
 ) -> FieldResult:
-    """Fields at (xi, y) from the expansion valid there.
+    """Fields at (xi, y) from the expansion that :func:`locate` picks there.
 
     ``coeffs`` are those of the side ``kappa = sgn(xi0 - xi)``.  The
     near-surface expansion (eta <= NEAR_ETA_MAX) gives displacements,
     tangential derivatives and stresses; at y = 0 the stresses take their
     exact limit 0 (traction-free surface away from the load point).  The
-    deep expansion (eta >= DEEP_ETA_MIN) gives the derivatives only.
+    deep expansion (eta >= DEEP_ETA_MIN) gives the derivatives only.  A
+    point between the two ranges comes back as an "out-of-range" record
+    with no fields.
 
     Raises
     ------
     ConfigError
-        If the point breaks the rule of :func:`check_point`.
+        If the point breaks the rule of :func:`locate`.
     SingularPointError
         At the load point xi = xi0, or so near it that eta or a field
         leaves the floating-point range.
-    ExpansionRangeError
-        If eta falls between the two ranges.
     RealnessError
         If a projected pair keeps an imaginary residue above 1e-2.
     """
-    check_point(xi, y, xi0)
+    eta, expansion = locate(xi, y, xi0)
+    if expansion == "out-of-range":
+        return FieldResult(xi=xi, y=y, eta=eta, expansion=expansion)
     dist = abs(xi - xi0)
-    eta = y / dist
     nu = p.nu
     try:
         # leaving the float range ends in the typed error below, never in inf
-        if math.isinf(eta):
-            raise OverflowError("eta is not finite")
-        if eta <= NEAR_ETA_MAX:
+        if expansion == "near":
             d0, d2 = coeffs.d0, coeffs.d2
             eta2 = eta**2
             amp = dist ** (-nu)
@@ -360,17 +359,15 @@ def evaluate_fields(
                 u1=u1, u2=u2, du1_dxi=du1, du2_dxi=du2, s12=s12, s22=s22,
                 imag_residue=max(r_u, r_du, r_s),
             )
-        if eta >= DEEP_ETA_MIN:
-            e1 = coeffs.e1
-            tail = eta ** (nu - 1.0)
-            scale = math.pi * (xi - xi0) * y**nu
-            du1, du2, r_du = _project(e1[0] * tail / scale, e1[1] * tail / scale)
-            return FieldResult(
-                xi=xi, y=y, eta=eta, expansion="deep",
-                du1_dxi=du1, du2_dxi=du2, imag_residue=r_du,
-            )
+        e1 = coeffs.e1
+        tail = eta ** (nu - 1.0)
+        scale = math.pi * (xi - xi0) * y**nu
+        du1, du2, r_du = _project(e1[0] * tail / scale, e1[1] * tail / scale)
+        return FieldResult(
+            xi=xi, y=y, eta=eta, expansion="deep",
+            du1_dxi=du1, du2_dxi=du2, imag_residue=r_du,
+        )
     except (OverflowError, ZeroDivisionError):
         raise SingularPointError(
             f"fields at |xi - xi0| = {dist:.3e}, y = {y:.3e} leave the floating-point range"
         ) from None
-    raise expansion_range_error(eta)

@@ -3,11 +3,11 @@
 The half-plane has Lame coefficients and density growing with depth like
 ``depth**nu`` (0 < nu < 1), and a point load moves along the boundary at a
 constant subsonic speed ``V < c_s``.  Shear modulus at unit depth is the
-stress unit, ``mu0 = 1``.  Everything downstream (kernels, collocation
-system, field expansions) is parameterised by the quantities computed here:
-scaled slownesses, the kernel amplitudes ``lam1, lam2``, and the oscillation
-exponents ``delta_j^+-`` that absorb the ``x**(+-i*eps)`` behaviour of the
-kernel near the fixed singularity.
+stress unit, ``mu0 = 1``, so it appears in no formula.  Everything
+downstream (kernels, collocation system, field expansions) is parameterised
+by the quantities computed here: scaled slownesses, the kernel amplitudes
+``lam1, lam2``, and the oscillation exponents ``delta_j^+-`` that absorb the
+``x**(+-i*eps)`` behaviour of the kernel near the fixed singularity.
 """
 
 from __future__ import annotations
@@ -18,14 +18,29 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, OscillationRegimeError, SubsonicViolation
 
-__all__ = ["MU0", "SIGMA_FRACTION", "MaterialConfig", "DerivedParams", "derive_params"]
+__all__ = ["SIGMA_FRACTION", "MaterialConfig", "DerivedParams", "derive_params", "real_float"]
 
-# shear modulus at unit depth; all stresses and loads are scaled by it
-MU0 = 1.0
 # the Mellin inversion strip Re s = sigma sits at this fraction of nu; the
 # problem does not depend on where in (0, nu) it sits, and A2 checks the
 # discrete determinant at nu/4 against nu/2
 SIGMA_FRACTION = 0.25
+
+
+def real_float(value, name: str) -> float:
+    """``value`` as a Python float: the one number rule of every config.
+
+    Callers range-check and format only the float, and no numpy scalar
+    reaches a later stage.  A non-real value or an int beyond the float
+    range is a ``ConfigError`` naming ``name``.
+    """
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{name} must be finite, got an integer beyond the float range"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -45,8 +60,8 @@ class MaterialConfig:
     xi0 : float
         Load position in the moving frame.
 
-    Each field is stored as a Python ``float``, whatever real type it was
-    given as; a value of no real type is refused.
+    Each field is stored as a Python ``float`` (:func:`real_float`), and the
+    ranges are checked on the stored floats.
     """
 
     nu: float = 0.1
@@ -58,9 +73,7 @@ class MaterialConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, numbers.Real):
-                raise ConfigError(f"{f.name} must be a real number, got {v!r}")
+            object.__setattr__(self, f.name, real_float(getattr(self, f.name), f.name))
         if not (0.0 < self.nu < 1.0):
             raise ConfigError(f"grading exponent nu must lie in (0, 1), got {self.nu}")
         if not (0.0 <= self.nu_p < 0.5):
@@ -73,17 +86,8 @@ class MaterialConfig:
             )
         for name in ("h1", "h2", "xi0"):
             v = getattr(self, name)
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:  # an int beyond the float range
-                raise ConfigError(
-                    f"{name} must be finite, got an integer beyond the float range"
-                ) from None
-            if not finite:
+            if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-        # numpy scalars would carry numpy arithmetic into every later stage
-        for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,8 @@ def derive_params(config: MaterialConfig) -> DerivedParams:
     delta1_plus = -eps / 2.0 + l
     sigma = SIGMA_FRACTION * nu
     gam = math.gamma((1.0 - nu) / 2.0)
-    gamma1 = gam / (MU0 * 2.0 ** (nu + 1.0) * beta1 ** ((nu - 1.0) / 2.0))
-    gamma2 = gam / (cd2_cs2 * MU0 * 2.0 ** (nu + 1.0) * beta2 ** ((nu - 1.0) / 2.0))
+    gamma1 = gam / (2.0 ** (nu + 1.0) * beta1 ** ((nu - 1.0) / 2.0))
+    gamma2 = gam / (cd2_cs2 * 2.0 ** (nu + 1.0) * beta2 ** ((nu - 1.0) / 2.0))
     return DerivedParams(
         nu=nu,
         sigma=sigma,

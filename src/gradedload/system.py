@@ -173,8 +173,11 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
         np.exp(1j * p.delta1_plus * log_xk), np.exp(1j * p.delta1_minus * log_xk)
     ])
     scale = 2j * np.pi
-    diag_a = scale * osc / kernel_g(2, np.concatenate([arg_plus, arg_minus]), p)
-    diag_b = scale * osc / kernel_g(1, np.concatenate([arg_minus, arg_plus]), p)
+    # as nu -> 0 a gamma factor overflows or meets its pole; block_solve's
+    # divisor gate reports the NaN or inf this leaves as a typed error
+    with np.errstate(all="ignore"):
+        diag_a = scale * osc / kernel_g(2, np.concatenate([arg_plus, arg_minus]), p)
+        diag_b = scale * osc / kernel_g(1, np.concatenate([arg_minus, arg_plus]), p)
     k = np.block([
         [regular_block(d, d.w_plus), singular_block(d, d.w_minus, d.m_minus)],
         [singular_block(d, d.w_plus, d.m_plus), regular_block(d, d.w_minus)],

@@ -62,8 +62,8 @@ def test_non_finite_query_point_exit_code(capsys, monkeypatch):
 
 def test_sweep_gap_point_refused_before_solve(capsys, monkeypatch):
     # a sweep evaluates only its first point; one between the expansion
-    # ranges is refused while the config is built, as a single case's
-    # evaluate_point would refuse it
+    # ranges is refused while the config is built, where a single case
+    # reports it out-of-range
     monkeypatch.setattr(
         driver, "solve_system", lambda *args, **kw: pytest.fail("solve reached")
     )
@@ -91,15 +91,25 @@ def test_unrepresentable_point_exit_code(capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"SingularPointError: fields at |xi - xi0| = {dist}")
         assert "inf" not in captured.out
+    # an eta that overflows is refused with the config, before any solve
+    assert main(["--xi=-1e-300", "--y", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("SingularPointError: eta at |xi - xi0| = 1.000e-300")
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_underflowing_strip_offset_exit_code(capsys):
     # at nu = 5e-324, sigma = nu/4 underflows to 0, so at x_n = 1 the gamma
-    # argument (s - nu)/2 in kernel_g is -0, a pole; the solve's D_a gate
-    # refuses the non-finite diagonal
-    assert main(["--nu", "5e-324"]) == 3
-    assert capsys.readouterr().err.startswith("SingularMatrixError: diagonal block D_a")
+    # argument (s - nu)/2 in kernel_g is -0, a pole; from nu = 1e-308 down a
+    # gamma product is inf * 0.  The solve's D_a gate refuses the non-finite
+    # diagonal, and the typed error is the only output: numpy warns nothing,
+    # which the suite's warnings-as-errors would turn into a failure
+    for nu in ("1e-307", "1e-308", "1e-310", "5e-324"):
+        assert main(["--nu", nu]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("SingularMatrixError: diagonal block D_a: |entry 99| = ")
+        assert captured.err.count("\n") == 1
 
 
 def test_build_run_config_keeps_class_defaults():

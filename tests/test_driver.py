@@ -17,8 +17,10 @@ from gradedload import (
     evaluate_point,
     run_case,
     run_sweep,
+    solve_case,
 )
 from gradedload.driver import _fmtc, csv_text, format_report
+from gradedload.fields import FieldResult
 
 
 # ---------------------------------------------------------------- solve_case
@@ -87,8 +89,10 @@ def test_evaluate_point_deep(case50):
 
 
 def test_evaluate_point_gates(case50):
-    with pytest.raises(ExpansionRangeError):
-        evaluate_point(case50, -1.0, 1.5)
+    # a gap point is a record with no fields, not an error
+    assert evaluate_point(case50, -1.0, 1.5) == FieldResult(
+        xi=-1.0, y=1.5, eta=1.5, expansion="out-of-range"
+    )
     with pytest.raises(SingularPointError):
         evaluate_point(case50, 0.0, 0.5)
     with pytest.raises(ConfigError):
@@ -102,6 +106,18 @@ def test_run_case_marks_gap_points():
     assert kinds == ["near", "out-of-range", "deep"]
     gap = report.results[1]
     assert gap.u1 is None and gap.du1_dxi is None and gap.s12 is None
+
+
+def test_readme_library_quickstart():
+    # the numbers and the gap-point sentence of the README library quickstart
+    case = solve_case(MaterialConfig(nu=0.3, nu_p=0.3, speed_ratio=0.2), n=100)
+    res = evaluate_point(case, xi=-1.0, y=0.3)
+    assert res.expansion == "near"
+    assert (round(res.s12, 4), round(res.s22, 4)) == (0.1142, 0.0763)
+    rc = RunConfig(material=case.config, n=100, points=((-1.0, 0.3), (-1.0, 1.5)))
+    report = run_case(rc)
+    assert report.results == (res, evaluate_point(case, -1.0, 1.5))
+    assert report.results[1].expansion == "out-of-range"
 
 
 # ---------------------------------------------------------------- report
@@ -172,11 +188,14 @@ def test_run_config_gates():
         RunConfig(sweep="speed", sweep_range=(0.1, 1.0, 0.1))
     with pytest.raises(ConfigError):
         RunConfig(points=())
-    # the point rule of evaluate_fields, applied before any solve
+    # the point rule of fields.locate, applied before any solve
     with pytest.raises(ConfigError, match="y must be >= 0"):
         RunConfig(points=((-1.0, 0.0), (-1.0, -0.1)))
     with pytest.raises(SingularPointError):
         RunConfig(material=MaterialConfig(xi0=0.5), points=((0.5, 0.3),))
+    # so near the load that eta = y/|xi - xi0| overflows, on any point
+    with pytest.raises(SingularPointError, match=r"^eta at \|xi - xi0\| = 1\.000e-300, y"):
+        RunConfig(points=((-1.0, 0.0), (-1e-300, 1e300)))
 
 
 def test_run_config_types_malformed_inputs():
@@ -193,6 +212,20 @@ def test_run_config_types_malformed_inputs():
     ):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**kwargs)
+
+
+def test_run_config_int_beyond_float_range_refused():
+    # converted before any range check or message, so an int too long to
+    # print (Python >= 3.11 refuses above 4300 digits) is refused by name
+    for huge in (10**400, 10**5000, -(10**5000)):
+        with pytest.raises(ConfigError, match=(
+            "^query point xi must be finite, got an integer beyond the float range$"
+        )):
+            RunConfig(points=((huge, 0.0),))
+        with pytest.raises(ConfigError, match=(
+            "^sweep range stop must be finite, got an integer beyond the float range$"
+        )):
+            RunConfig(sweep="nu", sweep_range=(0.1, huge, 0.1))
 
 
 def test_run_config_stores_floats():
@@ -349,13 +382,14 @@ def test_sweep_error_column(monkeypatch):
 
 def test_sweep_rejects_gap_point(case50):
     # a sweep evaluates only its first point, so a gap point there is refused
-    # while the config is built, with the error evaluate_point gives it;
-    # a single case marks the same point out-of-range instead
-    with pytest.raises(ExpansionRangeError) as at_point:
-        evaluate_point(case50, -1.0, 1.5)
-    with pytest.raises(ExpansionRangeError) as at_config:
+    # while the config is built; evaluate_point and a single case mark the
+    # same point out-of-range instead
+    with pytest.raises(ExpansionRangeError, match=(
+        r"^eta = 1\.500 falls between the near range \(<= 1\.0\) "
+        r"and the deep range \(>= 2\.0\)$"
+    )):
         RunConfig(n=25, sweep="nu", sweep_range=(0.1, 0.2, 0.1), points=((-1.0, 1.5),))
-    assert str(at_config.value) == str(at_point.value)
+    assert evaluate_point(case50, -1.0, 1.5).expansion == "out-of-range"
     RunConfig(n=25, points=((-1.0, 1.5),))
     RunConfig(n=25, sweep="nu", sweep_range=(0.1, 0.2, 0.1), points=((-1.0, 0.0), (-1.0, 1.5)))
 

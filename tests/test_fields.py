@@ -9,7 +9,6 @@ from conftest import cached_case, half_offset_case, minus_variant_phi, solver_or
 from gradedload import (
     ConfigError,
     DegenerateDeterminantError,
-    ExpansionRangeError,
     MaterialConfig,
     RealnessError,
     SingularPointError,
@@ -430,8 +429,10 @@ def test_expansion_range_gates(case50):
     # both range ends belong to their expansion; the gap between them has none
     assert evaluate_point(case50, -1.0, 1.0).expansion == "near"
     assert evaluate_point(case50, -1.0, 2.0).expansion == "deep"
-    with pytest.raises(ExpansionRangeError):
-        evaluate_point(case50, -1.0, 1.5)
+    for y in (math.nextafter(1.0, 2.0), 1.5, math.nextafter(2.0, 1.0)):
+        assert evaluate_point(case50, -1.0, y) == FieldResult(
+            xi=-1.0, y=y, eta=y, expansion="out-of-range"
+        )
     with pytest.raises(SingularPointError):
         evaluate_point(case50, 0.0, 0.0)
     with pytest.raises(ConfigError):

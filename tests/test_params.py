@@ -132,13 +132,21 @@ def test_config_gates():
 
 
 def test_int_beyond_float_range_refused():
-    # math.isfinite cannot take such an int; the refusal names the field,
-    # while an int inside the float range is stored as its float
-    for name in ("h1", "h2", "xi0"):
-        for huge in (10**400, -(10**400)):
+    # every field is converted before its range check, so such an int is
+    # refused by name and never printed (Python >= 3.11 refuses to print
+    # one of more than 4300 digits), while an int inside the float range is
+    # stored as its float
+    for name in ("nu", "nu_p", "speed_ratio", "h1", "h2", "xi0"):
+        for huge in (10**400, -(10**400), 10**5000):
             with pytest.raises(ConfigError, match=f"^{name} must be finite, got an integer"):
                 MaterialConfig(**{name: huge})
+    for name in ("h1", "h2", "xi0"):
         assert getattr(MaterialConfig(**{name: 10**300}), name) == 1e300
+    # a convertible int out of range is refused with its float in the message
+    with pytest.raises(ConfigError, match=r"nu must lie in \(0, 1\), got 1e\+300$"):
+        MaterialConfig(nu=10**300)
+    with pytest.raises(SubsonicViolation, match=r"^speed_ratio = 2\.0 is not subsonic"):
+        MaterialConfig(speed_ratio=2)
 
 
 def test_numpy_scalars_stored_as_float():
