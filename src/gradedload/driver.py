@@ -31,7 +31,7 @@ from .fields import (
     field_coeffs,
     locate,
 )
-from .params import DerivedParams, MaterialConfig, real_float
+from .params import DerivedParams, MaterialConfig, real_float, shown
 from .system import SIESolution, solve_system
 
 __all__ = [
@@ -60,7 +60,7 @@ def _floats(value, what: str, names: tuple[str, ...]) -> tuple:
     except TypeError:
         pass
     raise ConfigError(
-        f"{what} must be ({', '.join(names)}) of real numbers, got {value!r}"
+        f"{what} must be ({', '.join(names)}) of real numbers, got {shown(value)}"
     )
 
 
@@ -88,7 +88,7 @@ class RunConfig:
         if self.sweep is not None:
             if self.sweep not in _SWEEP_KINDS:
                 raise ConfigError(
-                    f"sweep must be one of {_SWEEP_KINDS}, got {self.sweep!r}"
+                    f"sweep must be one of {_SWEEP_KINDS}, got {shown(self.sweep)}"
                 )
             if self.sweep_range is None:
                 raise ConfigError("sweep requested without a sweep range")
@@ -122,7 +122,7 @@ class RunConfig:
             points = tuple(_floats(point, "query point", ("xi", "y")) for point in self.points)
         except TypeError:
             raise ConfigError(
-                f"points must be a sequence of (xi, y) pairs, got {self.points!r}"
+                f"points must be a sequence of (xi, y) pairs, got {shown(self.points)}"
             ) from None
         if not points:
             raise ConfigError("at least one query point is required")
@@ -187,7 +187,7 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
     point there comes back as a record with ``expansion == "out-of-range"``
     and every field None, the same record :func:`run_case` reports.
     """
-    return evaluate_fields(case.side(xi), xi, case.config.xi0, y, case.params)
+    return evaluate_fields(case.side(xi), xi, case.config.xi0, y)
 
 
 def run_case(rc: RunConfig) -> CaseReport:

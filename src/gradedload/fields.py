@@ -7,12 +7,15 @@ the determinant ``Delta`` that both share, the load constants ``C_{j +-}``
 and finally the expansion coefficients that give the displacements, their
 tangential derivatives, and the stresses near the surface (small
 eta = y/|xi - xi0|) or at depth (large eta).  The coefficients of both
-sides of the load are built in one call per case; the fields at a point
-come from one function, :func:`evaluate_fields`, on Python floats and
-complex numbers only, which the public entry point
-:func:`gradedload.driver.evaluate_point` calls.  Each point's fields come
-back as a :class:`FieldResult`, an immutable named tuple: a field map
-builds one per point, and a tuple is the cheapest record to build.
+sides of the load are built in one call per case, each with the plan of its
+side: every factor of the expansions that is fixed for the case and side,
+formed once.  The fields at a point come from one function,
+:func:`evaluate_fields`, which only reads that plan, on Python floats and
+complex numbers only; the public entry point
+:func:`gradedload.driver.evaluate_point` calls it.  Each point's fields come
+back as a :class:`FieldResult`, an immutable named tuple built
+positionally: a field map builds one per point, and a tuple is the
+cheapest record to build.
 
 Physical outputs are real; the computed complex values carry a small
 imaginary residue from the discretization, which is recorded and projected
@@ -22,7 +25,7 @@ out.  A residue above the sanity bound aborts with ``RealnessError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -162,12 +165,18 @@ class FieldCoefficients:
     multiples of ``Phi_+ C_+ - Phi_- C_-``, zero because both constant
     pairs solve ``Phi C = gamma H``, and the eta^3 coefficient vanishes by
     periodicity; none of the three is stored.
+
+    ``plan`` holds every constant of the side's expansions, built once per
+    case with the coefficients, in the order :func:`evaluate_fields`
+    unpacks it.  It is derived from the coefficients, so it takes no part
+    in ``repr`` or ``==``.
     """
 
     kappa: float
     d0: tuple[complex, complex]
     d2: tuple[complex, complex]
     e1: tuple[complex, complex]
+    plan: tuple = field(repr=False, compare=False)
 
 
 def field_coeffs(
@@ -179,6 +188,7 @@ def field_coeffs(
     and ``minus`` to the side xi > xi0, kappa = -1.
     """
     nu = p.nu
+    lam0 = p.cd2_cs2 - 2.0  # lam0/mu0 from (lam0 + 2 mu0)/mu0
     lead = math.gamma(nu / 2.0) * 2.0 ** (nu - 1.0) / (
         np.pi ** 1.5 * math.cos(np.pi * nu / 2.0)
     )
@@ -196,7 +206,18 @@ def field_coeffs(
                 -2.0 * kappa / np.pi * coeff_b(j, 1.0, p) * math.sqrt(beta_j)
                 * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0) * mix[2 - j]
             ))
-        return FieldCoefficients(kappa=kappa, d0=tuple(d0), d2=tuple(d2), e1=tuple(e1))
+        sgn = -kappa  # sgn(xi - xi0) on this side
+        # every constant prefix of evaluate_fields' written expansion, each
+        # formed in the left-to-right order Python evaluates that expansion
+        # in, so the fields keep every bit of the written form
+        plan = (
+            nu, sgn, -nu, -nu - 1.0, nu - 1.0, *d0, *d2,
+            -nu * d0[0], -nu * d0[1], (nu + 2.0) * d2[0], (nu + 2.0) * d2[1],
+            -nu * sgn * d0[1], 2.0 * d2[0], (nu + 2.0) * sgn * d2[1],
+            -lam0 * nu * sgn * d0[0], p.cd2_cs2 * 2.0 * d2[1], lam0 * (nu + 2.0) * sgn * d2[0],
+            *e1,
+        )
+        return FieldCoefficients(kappa=kappa, d0=tuple(d0), d2=tuple(d2), e1=tuple(e1), plan=plan)
 
     return side(1.0), side(-1.0)
 
@@ -224,6 +245,11 @@ class FieldResult(NamedTuple):
     s12: float | None = None
     s22: float | None = None
     imag_residue: float = 0.0
+
+
+# _tuple_new(FieldResult, entries) builds a record from all eleven entries
+# in order, without the keyword parsing of FieldResult(...)
+_tuple_new = tuple.__new__
 
 
 def _project(a: complex, b: complex) -> tuple[float, float, float]:
@@ -292,17 +318,33 @@ def locate(xi: float, y: float, xi0: float) -> tuple[float, str]:
 
 
 def evaluate_fields(
-    coeffs: FieldCoefficients, xi: float, xi0: float, y: float, p: DerivedParams
+    coeffs: FieldCoefficients, xi: float, xi0: float, y: float
 ) -> FieldResult:
     """Fields at (xi, y) from the expansion that :func:`locate` picks there.
 
-    ``coeffs`` are those of the side ``kappa = sgn(xi0 - xi)``.  The
-    near-surface expansion (eta <= NEAR_ETA_MAX) gives displacements,
-    tangential derivatives and stresses; at y = 0 the stresses take their
-    exact limit 0 (traction-free surface away from the load point).  The
-    deep expansion (eta >= DEEP_ETA_MIN) gives the derivatives only.  A
-    point between the two ranges comes back as an "out-of-range" record
-    with no fields.
+    ``coeffs`` are those of the side ``kappa = sgn(xi0 - xi)``, and the
+    fields come from their ``plan`` alone.  The near-surface expansion
+    (eta <= NEAR_ETA_MAX) gives displacements, tangential derivatives and
+    stresses; at y = 0 the stresses take their exact limit 0 (traction-free
+    surface away from the load point).  The deep expansion
+    (eta >= DEEP_ETA_MIN) gives the derivatives only.  A point between the
+    two ranges comes back as an "out-of-range" record with no fields.
+
+    Written out, with ``sgn = sgn(xi - xi0)``, ``dist = |xi - xi0|``,
+    ``lam0 = cd2_cs2 - 2`` and component j in {0, 1}:
+
+    - ``u_j = dist**(-nu) * (d0[j] + d2[j] * eta**2)``;
+    - ``du_j/dxi = sgn * dist**(-nu - 1) * (-nu * d0[j] - (nu + 2) * d2[j] * eta**2)``;
+    - ``s12 = eta**nu / dist * (-nu * sgn * d0[1] + 2 * d2[0] * eta
+      - (nu + 2) * sgn * d2[1] * eta**2)``;
+    - ``s22 = eta**nu / dist * (-lam0 * nu * sgn * d0[0] + cd2_cs2 * 2 * d2[1] * eta
+      - lam0 * (nu + 2) * sgn * d2[0] * eta**2)``;
+    - deep: ``du_j/dxi = e1[j] * eta**(nu - 1) / (pi * (xi - xi0) * y**nu)``.
+
+    The stresses pair indices as the printed expansion does: the shear
+    stress mixes the normal zeroth-order with the tangential second-order
+    coefficient, the normal stress the other way around.  The d/dxi terms
+    carry sgn, the d/dy terms (odd in eta) do not.
 
     Raises
     ------
@@ -316,56 +358,38 @@ def evaluate_fields(
     """
     eta, expansion = locate(xi, y, xi0)
     if expansion == "out-of-range":
-        return FieldResult(xi=xi, y=y, eta=eta, expansion=expansion)
+        return _tuple_new(
+            FieldResult, (xi, y, eta, expansion, None, None, None, None, None, None, 0.0)
+        )
+    (nu, sgn, pow_u, pow_du, pow_deep, u0_a, u0_b, u2_a, u2_b, du0_a, du0_b, du2_a, du2_b,
+     s12_0, s12_1, s12_2, s22_0, s22_1, s22_2, e1_a, e1_b) = coeffs.plan
     dist = abs(xi - xi0)
-    nu = p.nu
     try:
         # leaving the float range ends in the typed error below, never in inf
         if expansion == "near":
-            d0, d2 = coeffs.d0, coeffs.d2
             eta2 = eta**2
-            amp = dist ** (-nu)
-            u1, u2, r_u = _project(amp * (d0[0] + d2[0] * eta2), amp * (d0[1] + d2[1] * eta2))
-            sgn = math.copysign(1.0, xi - xi0)
-            amp = sgn * dist ** (-nu - 1.0)
+            amp = dist**pow_u
+            u1, u2, r_u = _project(amp * (u0_a + u2_a * eta2), amp * (u0_b + u2_b * eta2))
+            amp = sgn * dist**pow_du
             du1, du2, r_du = _project(
-                amp * (-nu * d0[0] - (nu + 2.0) * d2[0] * eta2),
-                amp * (-nu * d0[1] - (nu + 2.0) * d2[1] * eta2),
+                amp * (du0_a - du2_a * eta2), amp * (du0_b - du2_b * eta2)
             )
             if y == 0.0:
                 s12, s22, r_s = 0.0, 0.0, 0.0
             else:
-                lam0 = p.cd2_cs2 - 2.0  # lam0/mu0 from (lam0 + 2 mu0)/mu0
                 front = eta**nu / dist
-                # index pairing of the printed expansion: the shear stress mixes
-                # the normal zeroth-order with the tangential second-order
-                # coefficient, the normal stress the other way around.  The
-                # d/dxi terms carry sgn(xi - xi0), as du_dxi does; the d/dy
-                # terms (odd in eta) do not
                 s12, s22, r_s = _project(
-                    front * (
-                        -nu * sgn * d0[1]
-                        + 2.0 * d2[0] * eta
-                        - (nu + 2.0) * sgn * d2[1] * eta2
-                    ),
-                    front * (
-                        -lam0 * nu * sgn * d0[0]
-                        + p.cd2_cs2 * 2.0 * d2[1] * eta
-                        - lam0 * (nu + 2.0) * sgn * d2[0] * eta2
-                    ),
+                    front * (s12_0 + s12_1 * eta - s12_2 * eta2),
+                    front * (s22_0 + s22_1 * eta - s22_2 * eta2),
                 )
-            return FieldResult(
-                xi=xi, y=y, eta=eta, expansion="near",
-                u1=u1, u2=u2, du1_dxi=du1, du2_dxi=du2, s12=s12, s22=s22,
-                imag_residue=max(r_u, r_du, r_s),
+            return _tuple_new(
+                FieldResult, (xi, y, eta, "near", u1, u2, du1, du2, s12, s22, max(r_u, r_du, r_s))
             )
-        e1 = coeffs.e1
-        tail = eta ** (nu - 1.0)
+        tail = eta**pow_deep
         scale = math.pi * (xi - xi0) * y**nu
-        du1, du2, r_du = _project(e1[0] * tail / scale, e1[1] * tail / scale)
-        return FieldResult(
-            xi=xi, y=y, eta=eta, expansion="deep",
-            du1_dxi=du1, du2_dxi=du2, imag_residue=r_du,
+        du1, du2, r_du = _project(e1_a * tail / scale, e1_b * tail / scale)
+        return _tuple_new(
+            FieldResult, (xi, y, eta, "deep", None, None, du1, du2, None, None, r_du)
         )
     except (OverflowError, ZeroDivisionError):
         raise SingularPointError(

@@ -17,7 +17,7 @@ from scipy.special import gamma
 
 from .params import DerivedParams
 
-__all__ = ["coeff_b", "kernel_g", "rhs_f", "mellin_m"]
+__all__ = ["coeff_b", "gamma_factors", "kernel_g", "rhs_f", "mellin_m"]
 
 # terms of the accelerated alternating series in mellin_m; the CVZ error
 # falls like (3 + sqrt 8)**-n, so 30 terms leave it far below roundoff for
@@ -68,11 +68,25 @@ def coeff_b(j: int, s, p: DerivedParams):
     return num / den
 
 
+def gamma_factors(s, nu: float):
+    """Numerator and denominator of the gamma ratio of ``G_j(s)``.
+
+    ``num = Gamma(1 - s/2) Gamma((s - nu)/2)`` and
+    ``den = Gamma((s + 1 - nu)/2) Gamma((3 - s)/2)``; the ratio is the same
+    for j = 1 and 2, so :func:`gradedload.system.block_system` forms it once
+    for both diagonals.
+    """
+    num = gamma(1.0 - s / 2.0) * gamma((s - nu) / 2.0)
+    den = gamma((s + 1.0 - nu) / 2.0) * gamma((3.0 - s) / 2.0)
+    return num, den
+
+
 def kernel_g(j: int, s, p: DerivedParams):
     """Diagonal kernel symbol ``G_j(s)``, j in {1, 2}, for complex ``s``.
 
     ``G_j(s) = b_j(s) * Gamma(1 - s/2) Gamma((s - nu)/2)
-               / [Gamma((s + 1 - nu)/2) Gamma((3 - s)/2)]``
+               / [Gamma((s + 1 - nu)/2) Gamma((3 - s)/2)]``,
+    evaluated as ``coeff_b(j, s, p) * num / den`` from :func:`gamma_factors`.
 
     Satisfies the reflection symmetry G_j(conj(s)) = conj(G_j(s)) and grows
     like ``+-i lam_j beta**(+-s/2)`` far up/down the inversion strip.  The
@@ -83,9 +97,7 @@ def kernel_g(j: int, s, p: DerivedParams):
     ``(s - nu)/2 = -3 nu/8`` or ``(s + 1 - nu)/2 = 1/2 - 3 nu/8`` at
     ``x_k = 1``.
     """
-    nu = p.nu
-    num = gamma(1.0 - s / 2.0) * gamma((s - nu) / 2.0)
-    den = gamma((s + 1.0 - nu) / 2.0) * gamma((3.0 - s) / 2.0)
+    num, den = gamma_factors(s, p.nu)
     return coeff_b(j, s, p) * num / den
 
 

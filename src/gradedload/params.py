@@ -18,12 +18,28 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, OscillationRegimeError, SubsonicViolation
 
-__all__ = ["SIGMA_FRACTION", "MaterialConfig", "DerivedParams", "derive_params", "real_float"]
+__all__ = [
+    "SIGMA_FRACTION", "MaterialConfig", "DerivedParams", "derive_params", "real_float",
+    "shown",
+]
 
 # the Mellin inversion strip Re s = sigma sits at this fraction of nu; the
 # problem does not depend on where in (0, nu) it sits, and A2 checks the
 # discrete determinant at nu/4 against nu/2
 SIGMA_FRACTION = 0.25
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message about a malformed input.
+
+    An int of more than ``sys.get_int_max_str_digits()`` digits, or a
+    container that holds one, has no ``repr`` (``ValueError``); it is shown
+    by its type instead, so the message never raises.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an unprintable {type(value).__name__}"
 
 
 def real_float(value, name: str) -> float:
@@ -34,7 +50,7 @@ def real_float(value, name: str) -> float:
     range is a ``ConfigError`` naming ``name``.
     """
     if not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+        raise ConfigError(f"{name} must be a real number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:

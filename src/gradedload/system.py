@@ -39,8 +39,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigError, SingularMatrixError
-from .kernels import kernel_g, mellin_m, rhs_f
-from .params import DerivedParams, MaterialConfig, derive_params
+from .kernels import coeff_b, gamma_factors, mellin_m, rhs_f
+from .params import DerivedParams, MaterialConfig, derive_params, shown
 
 __all__ = [
     "Discretization",
@@ -111,9 +111,9 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     try:
         n = operator.index(n)
     except TypeError:
-        raise ConfigError(f"number of cells must be an integer, got {n!r}") from None
+        raise ConfigError(f"number of cells must be an integer, got {shown(n)}") from None
     if n < 2:
-        raise ConfigError(f"need at least 2 cells, got n = {n}")
+        raise ConfigError(f"need at least 2 cells, got n = {shown(n)}")
     nodes = np.arange(n + 1, dtype=float) / n
     colloc = nodes[1:]
     w_minus = step_weights(nodes, p.delta1_minus)
@@ -126,21 +126,25 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     )
 
 
-def singular_block(d: Discretization, weights: np.ndarray, heads: np.ndarray) -> np.ndarray:
+def singular_block(
+    d: Discretization, weights: np.ndarray, heads: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Block S(delta): kernel 1/(y + x) with the fixed singularity at 0.
 
     Entries n >= 2 are w_n/(x_{n-1} + x_k); the first column carries the
     exact kernel head M(x_k, delta) minus the left-endpoint sum it replaces,
-    so that each row sums to M(x_k, delta).
+    so that each row sums to M(x_k, delta).  Written into ``out`` if given.
     """
-    block = weights[None, :] / (d.left[None, :] + d.colloc[:, None])
+    block = np.divide(weights[None, :], d.left[None, :] + d.colloc[:, None], out=out)
     block[:, 0] = heads - block[:, 1:].sum(axis=1)
     return block
 
 
-def regular_block(d: Discretization, weights: np.ndarray) -> np.ndarray:
-    """Block R(delta): regular kernel 1/(1 + y x)."""
-    return weights[None, :] / (1.0 + d.left[None, :] * d.colloc[:, None])
+def regular_block(
+    d: Discretization, weights: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Block R(delta): regular kernel 1/(1 + y x), written into ``out`` if given."""
+    return np.divide(weights[None, :], 1.0 + d.left[None, :] * d.colloc[:, None], out=out)
 
 
 @dataclass(frozen=True)
@@ -165,10 +169,19 @@ class BlockSystem:
 
 
 def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
-    """Collocation blocks of the system (see the module docstring)."""
+    """Collocation blocks of the system (see the module docstring).
+
+    The arguments of ``diag_b`` are those of ``diag_a`` with their halves
+    swapped, so the gamma factors of both come from one
+    :func:`~gradedload.kernels.gamma_factors` call; the four blocks of K are
+    written in place into one array.
+    """
+    n = d.n
     log_xk = np.log(d.colloc)
     arg_minus = p.sigma - 1j / np.pi * log_xk
     arg_plus = p.sigma + 1j / np.pi * log_xk
+    args_a = np.concatenate([arg_plus, arg_minus])
+    args_b = np.concatenate([arg_minus, arg_plus])
     osc = np.concatenate([
         np.exp(1j * p.delta1_plus * log_xk), np.exp(1j * p.delta1_minus * log_xk)
     ])
@@ -176,12 +189,14 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
     # as nu -> 0 a gamma factor overflows or meets its pole; block_solve's
     # divisor gate reports the NaN or inf this leaves as a typed error
     with np.errstate(all="ignore"):
-        diag_a = scale * osc / kernel_g(2, np.concatenate([arg_plus, arg_minus]), p)
-        diag_b = scale * osc / kernel_g(1, np.concatenate([arg_minus, arg_plus]), p)
-    k = np.block([
-        [regular_block(d, d.w_plus), singular_block(d, d.w_minus, d.m_minus)],
-        [singular_block(d, d.w_plus, d.m_plus), regular_block(d, d.w_minus)],
-    ])
+        num, den = gamma_factors(args_a, p.nu)
+        diag_a = scale * osc / (coeff_b(2, args_a, p) * num / den)
+        diag_b = scale * osc / (coeff_b(1, args_b, p) * np.roll(num, n) / np.roll(den, n))
+    k = np.empty((2 * n, 2 * n), dtype=complex)
+    regular_block(d, d.w_plus, out=k[:n, :n])
+    singular_block(d, d.w_minus, d.m_minus, out=k[:n, n:])
+    singular_block(d, d.w_plus, d.m_plus, out=k[n:, :n])
+    regular_block(d, d.w_minus, out=k[n:, n:])
     return BlockSystem(diag_a=diag_a, diag_b=diag_b, k=k)
 
 

@@ -228,6 +228,25 @@ def test_run_config_int_beyond_float_range_refused():
             RunConfig(sweep="nu", sweep_range=(0.1, huge, 0.1))
 
 
+def test_run_config_unprintable_input_refused():
+    # a malformed input that holds an int too long to print (Python >= 3.11
+    # refuses above 4300 digits) is shown by its type, so the message is the
+    # ConfigError and not a ValueError raised while formatting it
+    huge = 10**5000
+    for kwargs, message in (
+        (dict(points=huge),
+         r"points must be a sequence of \(xi, y\) pairs, got an unprintable int$"),
+        (dict(points=((huge, "x"),)),
+         r"query point must be \(xi, y\) of real numbers, got an unprintable tuple$"),
+        (dict(sweep="nu", sweep_range=(0.1, huge)),
+         r"sweep range must be \(start, stop, step\) of real numbers, got an unprintable tuple$"),
+        (dict(sweep=huge, sweep_range=(0.1, 0.5, 0.1)),
+         r"sweep must be one of \('nu', 'speed'\), got an unprintable int$"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**kwargs)
+
+
 def test_run_config_stores_floats():
     rc = RunConfig(
         points=((-1, np.float64(0.5)),), sweep="nu", sweep_range=[np.float64(0.1), 0.5, 0.1]

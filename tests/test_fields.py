@@ -1,14 +1,18 @@
 """Boundary functionals, load constants, expansion coefficients, and fields."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cached_case, half_offset_case, minus_variant_phi, solver_order
 from gradedload import (
     ConfigError,
     DegenerateDeterminantError,
+    GradedLoadError,
     MaterialConfig,
     RealnessError,
     SingularPointError,
@@ -295,60 +299,120 @@ def test_deep_derivative_formula(case100):
     assert term_9 < term_3
 
 
-def test_evaluate_point_is_the_written_expansion(case100):
-    # the near and deep expansions written out from d0, d2 and e1 alone, at
-    # a surface, a near and a deep point on each side of the load at xi0 = 0
-    # imag_residue is the largest over the field pairs of
-    # max(|Im a|, |Im b|) / max(|a|, |b|), 0.0 for the surface stresses
-    p = case100.params
+def _written_point(case, xi, y):
+    """evaluate_point's record written out from d0, d2 and e1 alone.
+
+    Each pair is projected by the max()-based definition of _project;
+    imag_residue is the largest residue over the reported pairs, 0.0 for
+    the surface stresses.
+    """
+    p, xi0 = case.params, case.config.xi0
     nu, lam0 = p.nu, p.cd2_cs2 - 2.0
+    co = case.coeffs_plus if xi < xi0 else case.coeffs_minus
+    d0, d2, e1 = co.d0, co.d2, co.e1
+    dist = abs(xi - xi0)
+    eta = y / dist
+    sgn = math.copysign(1.0, xi - xi0)
+    if eta <= 1.0:
+        u = _project_by_max(*[dist ** (-nu) * (d0[j] + d2[j] * eta**2) for j in (0, 1)])
+        du = _project_by_max(*[
+            sgn * dist ** (-nu - 1.0) * (-nu * d0[j] - (nu + 2.0) * d2[j] * eta**2)
+            for j in (0, 1)
+        ])
+        s = (0.0, 0.0, 0.0)
+        if y != 0.0:
+            front = eta**nu / dist
+            s = _project_by_max(
+                front * (
+                    -nu * sgn * d0[1]
+                    + 2.0 * d2[0] * eta
+                    - (nu + 2.0) * sgn * d2[1] * eta**2
+                ),
+                front * (
+                    -lam0 * nu * sgn * d0[0]
+                    + p.cd2_cs2 * 2.0 * d2[1] * eta
+                    - lam0 * (nu + 2.0) * sgn * d2[0] * eta**2
+                ),
+            )
+        return FieldResult(
+            xi=xi, y=y, eta=eta, expansion="near", u1=u[0], u2=u[1],
+            du1_dxi=du[0], du2_dxi=du[1], s12=s[0], s22=s[1],
+            imag_residue=max(u[2], du[2], s[2]),
+        )
+    if eta < 2.0:
+        return FieldResult(xi=xi, y=y, eta=eta, expansion="out-of-range")
+    du = _project_by_max(*[
+        e1[j] * eta ** (nu - 1.0) / (math.pi * (xi - xi0) * y**nu) for j in (0, 1)
+    ])
+    return FieldResult(
+        xi=xi, y=y, eta=eta, expansion="deep", du1_dxi=du[0], du2_dxi=du[1],
+        imag_residue=du[2],
+    )
 
-    def residue(a, b):
-        return max(abs(a.imag), abs(b.imag)) / max(abs(a), abs(b))
 
+def _outcome(evaluate, case, xi, y):
+    try:
+        return repr(evaluate(case, xi, y))
+    except GradedLoadError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_evaluate_point_is_the_written_expansion(case100):
+    # a surface, a near, a gap and a deep point on each side of the load
     for xi in (-1.3, 0.7):
-        co = case100.coeffs_plus if xi < 0.0 else case100.coeffs_minus
-        d0, d2, e1 = co.d0, co.d2, co.e1
-        dist = abs(xi)
-        for y in (0.0, 0.4 * dist, 3.0 * dist):
-            eta = y / dist
+        for eta, expansion in ((0.0, "near"), (0.4, "near"), (1.5, "out-of-range"), (3.0, "deep")):
+            y = eta * abs(xi)
             res = evaluate_point(case100, xi, y)
-            if eta <= 1.0:
-                u = [dist ** (-nu) * (d0[j] + d2[j] * eta**2) for j in (0, 1)]
-                du = [
-                    math.copysign(1.0, xi) * dist ** (-nu - 1.0)
-                    * (-nu * d0[j] - (nu + 2.0) * d2[j] * eta**2)
-                    for j in (0, 1)
-                ]
-                front = eta**nu / dist
-                sgn = math.copysign(1.0, xi)
-                s = [
-                    front * (
-                        -nu * sgn * d0[1]
-                        + 2.0 * d2[0] * eta
-                        - (nu + 2.0) * sgn * d2[1] * eta**2
-                    ),
-                    front * (
-                        -lam0 * nu * sgn * d0[0]
-                        + p.cd2_cs2 * 2.0 * d2[1] * eta
-                        - lam0 * (nu + 2.0) * sgn * d2[0] * eta**2
-                    ),
-                ]
-                assert res.expansion == "near"
-                assert (res.u1, res.u2) == (u[0].real, u[1].real)
-                assert (res.du1_dxi, res.du2_dxi) == (du[0].real, du[1].real)
-                if y == 0.0:
-                    assert (res.s12, res.s22) == (0.0, 0.0)
-                    r_s = 0.0
-                else:
-                    assert (res.s12, res.s22) == (s[0].real, s[1].real)
-                    r_s = residue(*s)
-                assert res.imag_residue == max(residue(*u), residue(*du), r_s)
-            else:
-                du = [e1[j] * eta ** (nu - 1.0) / (math.pi * xi * y**nu) for j in (0, 1)]
-                assert res.expansion == "deep"
-                assert (res.du1_dxi, res.du2_dxi) == (du[0].real, du[1].real)
-                assert res.imag_residue == residue(*du)
+            assert res.expansion == expansion
+            assert repr(res) == repr(_written_point(case100, xi, y))
+
+
+# eta of each kind of point: its lower end, its width
+_ETA_SPANS = {"surface": (0.0, 0.0), "near": (0.0, 1.0), "gap": (1.0, 1.0), "deep": (2.0, 48.0)}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    material=st.fixed_dictionaries({
+        "nu": st.floats(0.05, 0.95),
+        "nu_p": st.floats(0.0, 0.45),
+        "speed_ratio": st.floats(0.05, 0.95),
+        "h1": st.floats(-2.0, 2.0),
+        "h2": st.floats(-2.0, 2.0),
+        "xi0": st.floats(-1.0, 1.0),
+    }),
+    points=st.lists(
+        st.tuples(
+            st.sampled_from((-1.0, 1.0)),
+            st.floats(1e-3, 10.0),
+            st.sampled_from(sorted(_ETA_SPANS)),
+            st.floats(0.0, 1.0),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_evaluate_point_is_the_written_expansion_everywhere(material, points):
+    # over random materials and surface, near, gap and deep points on both
+    # sides of xi0, evaluate_point's record (or typed error) is the written
+    # expansion's, by repr, so every bit of every field agrees
+    case = cached_case(n=25, **material)
+    for side, dist, kind, t in points:
+        low, width = _ETA_SPANS[kind]
+        xi = case.config.xi0 + side * dist
+        y = (low + width * t) * dist
+        assert _outcome(evaluate_point, case, xi, y) == _outcome(_written_point, case, xi, y)
+
+
+def test_side_plan_outside_repr_and_equality(case100):
+    # the plan is derived from the coefficients, so the report, the output
+    # comparison and equality see only kappa, d0, d2 and e1
+    co = case100.coeffs_plus
+    assert repr(co) == (
+        f"FieldCoefficients(kappa={co.kappa!r}, d0={co.d0!r}, d2={co.d2!r}, e1={co.e1!r})"
+    )
+    swapped = dataclasses.replace(co, plan=case100.coeffs_minus.plan)
+    assert swapped == co and hash(swapped) == hash(co)
 
 
 def _project_by_max(a, b):

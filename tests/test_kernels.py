@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 import gradedload.kernels as kernels
 from gradedload import MaterialConfig
-from gradedload.kernels import coeff_b, kernel_g, mellin_m, rhs_f
+from gradedload.kernels import coeff_b, gamma_factors, kernel_g, mellin_m, rhs_f
 from gradedload.params import derive_params
 from gradedload.system import block_system, build_grid
 
@@ -102,13 +102,33 @@ def test_kernel_g_schwarz(p01):
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
+def test_kernel_g_is_the_shared_gamma_ratio(p01):
+    # bit for bit, G_j is coeff_b * num / den over gamma_factors, and those
+    # are the written gamma products; the ratio does not depend on j, which
+    # lets block_system form it once for both diagonals
+    nu = p01.nu
+    x = np.arange(1, 101) / 100.0
+    args = p01.sigma + 1j / np.pi * np.log(x)
+    gamma = kernels.gamma
+    for s in (args, np.conj(args), np.concatenate([args, np.conj(args)]), 0.025 + 1j):
+        num, den = gamma_factors(s, nu)
+        assert np.asarray(num).tobytes() == np.asarray(
+            gamma(1.0 - s / 2.0) * gamma((s - nu) / 2.0)).tobytes()
+        assert np.asarray(den).tobytes() == np.asarray(
+            gamma((s + 1.0 - nu) / 2.0) * gamma((3.0 - s) / 2.0)).tobytes()
+        for j in (1, 2):
+            assert np.asarray(kernel_g(j, s, p01)).tobytes() == np.asarray(
+                coeff_b(j, s, p01) * num / den).tobytes()
+
+
 def test_kernel_g_gamma_arguments_clear_the_poles(monkeypatch):
     # kernel_g has no pole guard: every gamma argument it forms at the
     # collocation arguments of block_system stays at least
     # min(3 nu/8, 1/2 - 3 nu/8) >= min(3 nu/8, 1/8) from the poles
     # 0, -1, -2, ...  The bound is reached at x_n = 1, where s = sigma = nu/4
     # is real, by (s - nu)/2 = -3 nu/8 in the numerator or by
-    # (s + 1 - nu)/2 = 1/2 - 3 nu/8 in the denominator
+    # (s + 1 - nu)/2 = 1/2 - 3 nu/8 in the denominator.  block_system forms
+    # the four gamma factors once, over the 2n arguments of both diagonals
     gamma = kernels.gamma
     seen = []
 
@@ -123,7 +143,7 @@ def test_kernel_g_gamma_arguments_clear_the_poles(monkeypatch):
             seen.clear()
             block_system(build_grid(n, p), p)
             z = np.concatenate(seen)
-            assert len(seen) == 8 and z.shape == (8 * 2 * n,)
+            assert len(seen) == 4 and z.shape == (4 * 2 * n,)
             nearest_pole = np.minimum(np.round(z.real), 0.0)
             gap = np.abs(z - nearest_pole).min()
             bound = min(3.0 * p.nu / 8.0, 0.5 - 3.0 * p.nu / 8.0)

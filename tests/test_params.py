@@ -147,6 +147,9 @@ def test_int_beyond_float_range_refused():
         MaterialConfig(nu=10**300)
     with pytest.raises(SubsonicViolation, match=r"^speed_ratio = 2\.0 is not subsonic"):
         MaterialConfig(speed_ratio=2)
+    # a non-real value that holds such an int is shown by its type
+    with pytest.raises(ConfigError, match="^nu must be a real number, got an unprintable list$"):
+        MaterialConfig(nu=[10**5000])
 
 
 def test_numpy_scalars_stored_as_float():

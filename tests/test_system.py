@@ -59,6 +59,11 @@ def test_degenerate_grid_rejected(p01):
             build_grid(n, p01)
     with pytest.raises(ConfigError, match="got 100.5"):
         solve_case(MaterialConfig(), n=100.5)
+    # an int too long to print (Python >= 3.11) is shown by its type
+    with pytest.raises(ConfigError, match="got n = an unprintable int$"):
+        build_grid(-(10**5000), p01)
+    with pytest.raises(ConfigError, match="integer, got an unprintable list$"):
+        solve_case(MaterialConfig(), n=[10**5000])
     assert build_grid(np.int64(4), p01).n == 4
 
 
@@ -239,18 +244,25 @@ def test_lu_multiple_rhs():
 
 
 def test_singular_kernel_node_raises(monkeypatch):
-    # an infinite kernel symbol at one node zeroes a diagonal entry; the
-    # solve names the block and the bound instead of returning NaN or inf
-    original = system.kernel_g
+    # a gamma factor of the kernel symbol at its pole (an infinite
+    # numerator) or overflowing (an infinite denominator) at one node
+    # leaves a NaN or infinite diagonal entry; the solve names the block,
+    # the entry and the bound instead of returning NaN or inf
+    original = system.gamma_factors
 
-    def infinite_at_node(j, s, p):
-        out = np.array(original(j, s, p))
-        out[3] = np.inf
-        return out
+    def faulty(part, value):
+        def factors(s, nu):
+            parts = [np.array(v) for v in original(s, nu)]
+            parts[part][3] = value
+            return tuple(parts)
+        return factors
 
-    monkeypatch.setattr(system, "kernel_g", infinite_at_node)
-    with pytest.raises(SingularMatrixError, match=r"D_a: \|entry 3\| = 0\.000e\+00, need"):
-        solve_system(MaterialConfig(), n=16)
+    for part, shown in ((0, "nan"), (1, "inf")):
+        monkeypatch.setattr(system, "gamma_factors", faulty(part, np.inf))
+        with pytest.raises(
+            SingularMatrixError, match=rf"D_a: \|entry 3\| = {shown}, need finite and >= 1e-300"
+        ):
+            solve_system(MaterialConfig(), n=16)
 
 
 def test_dense_oracle_both_variants():

@@ -17,6 +17,10 @@ configs at n = 100.  Per config it records
 - per query point, the ``repr`` of ``evaluate_point``'s result, or the
   class and message of the error it raised.
 
+It records the same ``solve_case`` outputs for the five configs of
+``perfbench/reference.json`` at n = 400, the size at which the benchmark's
+``solve-n400`` workload reads its solve residuals.
+
 Floats are compared through ``repr`` or raw bytes, so equal means equal to
 the bit.  It prints how many records differ and exits 1 if any do, 2 if
 ``OTHER_SRC`` holds no package.
@@ -30,15 +34,20 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SEED = 0
 CONFIGS = 1024
 N = 100
+# the benchmark's reference configs, solved at the size of its solve-n400
+REFERENCE = ROOT / "perfbench" / "reference.json"
+N_REFERENCE = 400
 # study domain of perfbench's study-n100: nu, V/c_s, nu_p
 LOW = (0.05, 0.05, 0.0)
 HIGH = (0.95, 0.95, 0.45)
@@ -73,6 +82,20 @@ def _array(a: np.ndarray) -> tuple:
     return a.dtype.str, a.shape, a.tobytes()
 
 
+def _solve(pkg, material, n: int):
+    """The case and the record of its solve outputs, or None and the error."""
+    try:
+        case = pkg.solve_case(material, n=n)
+    except Exception as exc:  # an error, typed or not, is an output to compare
+        return None, _error(exc)
+    sol, bc = case.solution, case.constants
+    return case, (
+        _array(sol.f1), _array(sol.f2), repr(sol.residuals), repr(bc.delta_plus),
+        _array(bc.c_plus), _array(bc.c_minus),
+        repr(case.coeffs_plus), repr(case.coeffs_minus),
+    )
+
+
 def outputs(src: Path) -> dict:
     """Record of every output of the tree at ``src``, keyed by (config, point)."""
     pkg = _import(src)
@@ -80,22 +103,21 @@ def outputs(src: Path) -> dict:
     records = {}
     for k, (nu, speed_ratio, nu_p) in enumerate(draws.tolist()):
         material = pkg.MaterialConfig(nu=nu, speed_ratio=speed_ratio, nu_p=nu_p)
-        try:
-            case = pkg.solve_case(material, n=N)
-        except Exception as exc:  # an error, typed or not, is an output to compare
-            records[k, "solve"] = _error(exc)
+        case, records[k, "solve"] = _solve(pkg, material, N)
+        if case is None:
             continue
-        sol, bc = case.solution, case.constants
-        records[k, "solve"] = (
-            _array(sol.f1), _array(sol.f2), repr(sol.residuals), repr(bc.delta_plus),
-            _array(bc.c_plus), _array(bc.c_minus),
-            repr(case.coeffs_plus), repr(case.coeffs_minus),
-        )
         for xi, y in POINTS:
             try:
                 records[k, (xi, y)] = repr(pkg.evaluate_point(case, xi, y))
             except Exception as exc:
                 records[k, (xi, y)] = _error(exc)
+    for k, ref in enumerate(json.loads(REFERENCE.read_text())["configs"]):
+        material = pkg.MaterialConfig(
+            nu=ref["nu"], speed_ratio=ref["speed_ratio"], nu_p=ref["nu_p"]
+        )
+        records[f"reference {k}", f"solve n = {N_REFERENCE}"] = _solve(
+            pkg, material, N_REFERENCE
+        )[1]
     return records
 
 
@@ -113,7 +135,8 @@ def main(argv: list[str]) -> int:
         print(f"differs at config {key[0]}, {key[1]}:\n  {SRC}: {ours.get(key)!r:.300}\n"
               f"  {other}: {theirs.get(key)!r:.300}")
     print(f"{len(differ)} of {len(ours.keys() | theirs.keys())} outputs differ "
-          f"({CONFIGS} configs x {len(POINTS)} points, n = {N}; {SRC} against {other})")
+          f"({CONFIGS} configs x {len(POINTS)} points, n = {N}, and the reference "
+          f"configs at n = {N_REFERENCE}; {SRC} against {other})")
     return 1 if differ else 0
 
 
