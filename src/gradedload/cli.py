@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .driver import RunConfig, csv_text, format_report, run_case, run_sweep
+from .driver import SWEEP_AXES, RunConfig, csv_text, format_report, run_case, run_sweep
 from .errors import ConfigError, GradedLoadError
 from .params import MaterialConfig
 
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--y", type=float, action="append",
                         help="query depth (repeatable, pairs with --xi)")
     parser.add_argument("--n", type=int, help="collocation points per unknown")
-    parser.add_argument("--sweep", choices=("nu", "speed"),
+    parser.add_argument("--sweep", choices=tuple(SWEEP_AXES),
                         help="sweep axis instead of a single case")
     parser.add_argument("--sweep-range", dest="sweep_range", metavar="A:B:STEP",
                         help="inclusive sweep grid")
@@ -146,6 +146,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         values = _merge(args)
         rc = _build_run_config(values)
+        if rc.sweep is None and "out" in values:
+            raise ConfigError("out given without a sweep: --out writes sweep CSV only")
         if rc.sweep is not None:
             header, rows = run_sweep(rc)
             out = values.get("out")

@@ -2,12 +2,12 @@
 
 ``solve_case`` runs the whole chain (derived parameters, collocation solve,
 boundary functionals, load constants, expansion coefficients) once per
-configuration; ``evaluate_point`` takes the coefficients of the side of the
-load a query point lies on (:meth:`CaseSolution.side`) and evaluates the
-fields there with :func:`~gradedload.fields.evaluate_fields`.
-``run_sweep`` repeats a case over a grading or speed grid and returns
-deterministic CSV rows; ``csv_text`` renders them.  Nothing here writes a
-file: the command line does.
+configuration; :func:`~gradedload.fields.evaluate_point`, re-exported here,
+evaluates the fields of a solved case at one point, with the coefficients
+of the side of the load that :meth:`CaseSolution.side` picks.
+``run_sweep`` repeats a case over a grid of one axis of ``SWEEP_AXES`` and
+returns deterministic CSV rows; ``csv_text`` renders them.  Nothing here
+writes a file: the command line does.
 """
 
 from __future__ import annotations
@@ -24,17 +24,17 @@ from .fields import (
     NEAR_ETA_MAX,
     BoundaryConstants,
     FieldCoefficients,
-    FieldResult,
     boundary_phi,
     constants_c,
-    evaluate_fields,
+    evaluate_point,
     field_coeffs,
     locate,
 )
 from .params import DerivedParams, MaterialConfig, real_float, shown
-from .system import SIESolution, solve_system
+from .system import SIESolution, cell_count, solve_system
 
 __all__ = [
+    "SWEEP_AXES",
     "RunConfig",
     "CaseSolution",
     "CaseReport",
@@ -46,7 +46,8 @@ __all__ = [
     "csv_text",
 ]
 
-_SWEEP_KINDS = ("nu", "speed")
+# each sweep axis and the MaterialConfig field it sets
+SWEEP_AXES = {"nu": "nu", "speed": "speed_ratio"}
 # most grid steps one sweep may take; each grid value is one solve
 _MAX_SWEEP_STEPS = 10_000
 
@@ -72,10 +73,12 @@ class RunConfig:
     :func:`~gradedload.fields.locate` here, before any solve.  A sweep
     evaluates only the first, so it refuses a first point between the two
     expansion ranges (:class:`ExpansionRangeError`), which a single case
-    reports as "out-of-range".  For sweeps, ``sweep`` is "nu" or "speed" and
-    ``sweep_range`` is (start, stop, step); the grid includes ``stop`` when
-    a whole number of steps reaches it, up to float drift, and never goes
-    past it.  Points and range are stored as Python floats.
+    reports as "out-of-range".  ``n`` is the number of cells, by the rule
+    of :func:`~gradedload.system.cell_count`.  For sweeps, ``sweep`` is an
+    axis of ``SWEEP_AXES`` and ``sweep_range`` is (start, stop, step); the
+    grid includes ``stop`` when a whole number of steps reaches it, up to
+    float drift, and never goes past it.  A ``sweep_range`` without a
+    ``sweep`` is refused.  Points and range are stored as Python floats.
     """
 
     material: MaterialConfig = field(default_factory=MaterialConfig)
@@ -85,10 +88,13 @@ class RunConfig:
     sweep_range: tuple | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", cell_count(self.n))
+        if self.sweep is None and self.sweep_range is not None:
+            raise ConfigError("sweep_range given without a sweep axis")
         if self.sweep is not None:
-            if self.sweep not in _SWEEP_KINDS:
+            if self.sweep not in SWEEP_AXES:
                 raise ConfigError(
-                    f"sweep must be one of {_SWEEP_KINDS}, got {shown(self.sweep)}"
+                    f"sweep must be one of {tuple(SWEEP_AXES)}, got {shown(self.sweep)}"
                 )
             if self.sweep_range is None:
                 raise ConfigError("sweep requested without a sweep range")
@@ -177,17 +183,6 @@ def solve_case(material: MaterialConfig, n: int = 100) -> CaseSolution:
         coeffs_plus=coeffs_plus,
         coeffs_minus=coeffs_minus,
     )
-
-
-def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
-    """Evaluate displacements, derivatives and stresses at one point.
-
-    Uses the near-surface expansion for eta = y/|xi - xi0| <= 1 and the
-    deep one for eta >= 2.  The gap in between has no valid expansion: a
-    point there comes back as a record with ``expansion == "out-of-range"``
-    and every field None, the same record :func:`run_case` reports.
-    """
-    return evaluate_fields(case.side(xi), xi, case.config.xi0, y)
 
 
 def run_case(rc: RunConfig) -> CaseReport:
@@ -283,11 +278,9 @@ def run_sweep(rc: RunConfig) -> tuple[list[str], list[list[str]]]:
         "delta_re", "delta_im", "error",
     ]
     rows: list[list[str]] = []
+    axis = SWEEP_AXES[rc.sweep]
     for value in _sweep_values(rc.sweep_range):
-        if rc.sweep == "nu":
-            material = replace(rc.material, nu=value)
-        else:
-            material = replace(rc.material, speed_ratio=value)
+        material = replace(rc.material, **{axis: value})
         try:
             case = solve_case(material, n=rc.n)
             res = evaluate_point(case, xi, y)
@@ -297,14 +290,10 @@ def run_sweep(rc: RunConfig) -> tuple[list[str], list[list[str]]]:
             rows.append([_fmt(value)] + [""] * 8 + [type(exc).__name__])
             continue
         delta = case.constants.delta_plus
+        # res[4:10] are the record's six fields, u1 to s22, in header order
         rows.append([
             _fmt(value),
-            "" if res.u1 is None else _fmt(res.u1),
-            "" if res.u2 is None else _fmt(res.u2),
-            "" if res.du1_dxi is None else _fmt(res.du1_dxi),
-            "" if res.du2_dxi is None else _fmt(res.du2_dxi),
-            "" if res.s12 is None else _fmt(res.s12),
-            "" if res.s22 is None else _fmt(res.s22),
+            *("" if v is None else _fmt(v) for v in res[4:10]),
             _fmt(delta.real),
             _fmt(delta.imag),
             "",

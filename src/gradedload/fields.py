@@ -10,11 +10,11 @@ eta = y/|xi - xi0|) or at depth (large eta).  The coefficients of both
 sides of the load are built in one call per case, each with the plan of its
 side: every factor of the expansions that is fixed for the case and side,
 formed once.  The fields at a point come from one function,
-:func:`evaluate_fields`, which only reads that plan, on Python floats and
-complex numbers only; the public entry point
-:func:`gradedload.driver.evaluate_point` calls it.  Each point's fields come
-back as a :class:`FieldResult`, an immutable named tuple built
-positionally: a field map builds one per point, and a tuple is the
+:func:`evaluate_point`, which locates the point, takes the plan of its side
+of a solved case and reads only that plan, on Python floats and complex
+numbers only; :mod:`gradedload.driver` and the package re-export it.  Each
+point's fields come back as a :class:`FieldResult`, an immutable named tuple
+built positionally: a field map builds one per point, and a tuple is the
 cheapest record to build.
 
 Physical outputs are real; the computed complex values carry a small
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from .kernels import coeff_b
 from .params import DerivedParams, MaterialConfig
 from .system import SIESolution
 
+if TYPE_CHECKING:
+    from .driver import CaseSolution
+
 __all__ = [
     "BoundaryConstants",
     "FieldCoefficients",
@@ -48,6 +51,7 @@ __all__ = [
     "constants_c",
     "field_coeffs",
     "locate",
+    "evaluate_point",
     "NEAR_ETA_MAX",
     "DEEP_ETA_MIN",
 ]
@@ -167,7 +171,7 @@ class FieldCoefficients:
     periodicity; none of the three is stored.
 
     ``plan`` holds every constant of the side's expansions, built once per
-    case with the coefficients, in the order :func:`evaluate_fields`
+    case with the coefficients, in the order :func:`evaluate_point`
     unpacks it.  It is derived from the coefficients, so it takes no part
     in ``repr`` or ``==``.
     """
@@ -207,7 +211,7 @@ def field_coeffs(
                 * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0) * mix[2 - j]
             ))
         sgn = -kappa  # sgn(xi - xi0) on this side
-        # every constant prefix of evaluate_fields' written expansion, each
+        # every constant prefix of evaluate_point's written expansion, each
         # formed in the left-to-right order Python evaluates that expansion
         # in, so the fields keep every bit of the written form
         plan = (
@@ -287,7 +291,7 @@ def locate(xi: float, y: float, xi0: float) -> tuple[float, str]:
     expansion is "near" for eta <= NEAR_ETA_MAX, "deep" for
     eta >= DEEP_ETA_MIN and "out-of-range" in between.
     :class:`gradedload.driver.RunConfig` locates every point before any
-    solve, and :func:`evaluate_fields` the point it evaluates.
+    solve, and :func:`evaluate_point` the point it evaluates.
 
     Raises
     ------
@@ -317,13 +321,11 @@ def locate(xi: float, y: float, xi0: float) -> tuple[float, str]:
     return eta, "deep"
 
 
-def evaluate_fields(
-    coeffs: FieldCoefficients, xi: float, xi0: float, y: float
-) -> FieldResult:
-    """Fields at (xi, y) from the expansion that :func:`locate` picks there.
+def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
+    """Fields of a solved case at (xi, y) from the expansion :func:`locate` picks.
 
-    ``coeffs`` are those of the side ``kappa = sgn(xi0 - xi)``, and the
-    fields come from their ``plan`` alone.  The near-surface expansion
+    The fields come from the ``plan`` of the coefficients of the point's
+    side of the load, ``case.side(xi)``, alone.  The near-surface expansion
     (eta <= NEAR_ETA_MAX) gives displacements, tangential derivatives and
     stresses; at y = 0 the stresses take their exact limit 0 (traction-free
     surface away from the load point).  The deep expansion
@@ -356,13 +358,14 @@ def evaluate_fields(
     RealnessError
         If a projected pair keeps an imaginary residue above 1e-2.
     """
+    xi0 = case.config.xi0
     eta, expansion = locate(xi, y, xi0)
     if expansion == "out-of-range":
         return _tuple_new(
             FieldResult, (xi, y, eta, expansion, None, None, None, None, None, None, 0.0)
         )
     (nu, sgn, pow_u, pow_du, pow_deep, u0_a, u0_b, u2_a, u2_b, du0_a, du0_b, du2_a, du2_b,
-     s12_0, s12_1, s12_2, s22_0, s22_1, s22_2, e1_a, e1_b) = coeffs.plan
+     s12_0, s12_1, s12_2, s22_0, s22_1, s22_2, e1_a, e1_b) = case.side(xi).plan
     dist = abs(xi - xi0)
     try:
         # leaving the float range ends in the typed error below, never in inf

@@ -16,7 +16,9 @@ R(delta) is the regular complementary block; superscripts -/+ mark the two
 exponent families.  Only ``delta1^-`` and ``delta1^+`` appear: through the
 pairing ``delta2^- = delta1^+``, ``delta2^+ = delta1^-`` both density stacks
 carry the exponents ``[delta1^+; delta1^-]``, so both coupling blocks are
-one matrix K and ``A = [[D_a, K], [K, D_b]]`` with diagonal ``D_a``, ``D_b``.
+one matrix K and ``A = [[D_a, K], [K, D_b]]`` with diagonal ``D_a``, ``D_b``,
+which divide by the symbols ``G_2`` and ``G_1`` of one
+:func:`~gradedload.kernels.kernel_g` call.
 This is the "+" sign variant of the formulation and the only one solved.
 The "-" variant negates the diagonal blocks and the forcing,
 ``A_- = -J A J`` and ``r_- = -r`` with ``J = diag(I, -I)``.
@@ -39,12 +41,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigError, SingularMatrixError
-from .kernels import coeff_b, gamma_factors, mellin_m, rhs_f
+from .kernels import kernel_g, mellin_m, rhs_f
 from .params import DerivedParams, MaterialConfig, derive_params, shown
 
 __all__ = [
     "Discretization",
     "SIESolution",
+    "cell_count",
     "build_grid",
     "step_weights",
     "singular_block",
@@ -58,6 +61,21 @@ __all__ = [
 
 # smallest |entry| of D_a and |pivot| of the Schur complement accepted
 _PIVOT_MIN = 1e-300
+# most cells a grid may have; a solve peaks at about 200 n**2 bytes (96, 192
+# and 564 MB at n = 400, 800 and 1600), so one at the cap stays under 1 GB
+MAX_CELLS = 2048
+
+
+def cell_count(n) -> int:
+    """``n`` as a number of cells, the one rule of every entry that takes one:
+    an integer (``operator.index``) with 2 <= n <= MAX_CELLS, else a ConfigError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ConfigError(f"number of cells must be an integer, got {shown(n)}") from None
+    if not 2 <= n <= MAX_CELLS:
+        raise ConfigError(f"number of cells must lie in [2, {MAX_CELLS}], got n = {shown(n)}")
+    return n
 
 
 def step_weights(nodes: np.ndarray, delta: float) -> np.ndarray:
@@ -76,7 +94,7 @@ def step_weights(nodes: np.ndarray, delta: float) -> np.ndarray:
 class Discretization:
     """Uniform grid with the per-family quadrature data.
 
-    ``nodes`` are x_0..x_N.  ``colloc`` holds the collocation points
+    The grid keeps two point sets: ``colloc`` holds the collocation points
     x_1..x_N and ``left`` the points x_0..x_{N-1} at which the kernels take
     each cell; every block, the forcing and the boundary functionals read
     them from here.  The weight and kernel-head vectors are indexed by cell
@@ -86,7 +104,6 @@ class Discretization:
     """
 
     n: int
-    nodes: np.ndarray
     colloc: np.ndarray
     left: np.ndarray
     w_minus: np.ndarray
@@ -101,19 +118,14 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     Parameters
     ----------
     n : int
-        Number of cells, an integer (``operator.index``) n >= 2.
+        Number of cells, by the rule of :func:`cell_count`.
     p : DerivedParams
 
     Returns
     -------
     Discretization
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ConfigError(f"number of cells must be an integer, got {shown(n)}") from None
-    if n < 2:
-        raise ConfigError(f"need at least 2 cells, got n = {shown(n)}")
+    n = cell_count(n)
     nodes = np.arange(n + 1, dtype=float) / n
     colloc = nodes[1:]
     w_minus = step_weights(nodes, p.delta1_minus)
@@ -121,7 +133,7 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     m_minus = mellin_m(colloc, p.delta1_minus)
     m_plus = mellin_m(colloc, p.delta1_plus)
     return Discretization(
-        n=n, nodes=nodes, colloc=colloc, left=nodes[:-1],
+        n=n, colloc=colloc, left=nodes[:-1],
         w_minus=w_minus, w_plus=w_plus, m_minus=m_minus, m_plus=m_plus,
     )
 
@@ -172,16 +184,14 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
     """Collocation blocks of the system (see the module docstring).
 
     The arguments of ``diag_b`` are those of ``diag_a`` with their halves
-    swapped, so the gamma factors of both come from one
-    :func:`~gradedload.kernels.gamma_factors` call; the four blocks of K are
-    written in place into one array.
+    swapped, so both come from one :func:`~gradedload.kernels.kernel_g`
+    call; the four blocks of K are written in place into one array.
     """
     n = d.n
     log_xk = np.log(d.colloc)
     arg_minus = p.sigma - 1j / np.pi * log_xk
     arg_plus = p.sigma + 1j / np.pi * log_xk
     args_a = np.concatenate([arg_plus, arg_minus])
-    args_b = np.concatenate([arg_minus, arg_plus])
     osc = np.concatenate([
         np.exp(1j * p.delta1_plus * log_xk), np.exp(1j * p.delta1_minus * log_xk)
     ])
@@ -189,9 +199,9 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
     # as nu -> 0 a gamma factor overflows or meets its pole; block_solve's
     # divisor gate reports the NaN or inf this leaves as a typed error
     with np.errstate(all="ignore"):
-        num, den = gamma_factors(args_a, p.nu)
-        diag_a = scale * osc / (coeff_b(2, args_a, p) * num / den)
-        diag_b = scale * osc / (coeff_b(1, args_b, p) * np.roll(num, n) / np.roll(den, n))
+        g1, g2 = kernel_g(args_a, p)
+        diag_a = scale * osc / g2
+        diag_b = scale * osc / np.roll(g1, n)
     k = np.empty((2 * n, 2 * n), dtype=complex)
     regular_block(d, d.w_plus, out=k[:n, :n])
     singular_block(d, d.w_minus, d.m_minus, out=k[:n, n:])

@@ -103,10 +103,10 @@ def dense_matrix(d, p, sign):
     osc_plus = np.exp(1j * p.delta1_plus * log_x)
     scale = sign * 2j * np.pi
     diags = (
-        scale * osc_minus / kernel_g(2, arg_minus, p),
-        scale * osc_plus / kernel_g(2, arg_plus, p),
-        scale * osc_plus / kernel_g(1, arg_minus, p),
-        scale * osc_minus / kernel_g(1, arg_plus, p),
+        scale * osc_minus / kernel_g(arg_minus, p)[1],
+        scale * osc_plus / kernel_g(arg_plus, p)[1],
+        scale * osc_plus / kernel_g(arg_minus, p)[0],
+        scale * osc_minus / kernel_g(arg_plus, p)[0],
     )
     s_plus = singular_block(d, d.w_plus, d.m_plus)
     s_minus = singular_block(d, d.w_minus, d.m_minus)

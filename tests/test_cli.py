@@ -10,6 +10,7 @@ import gradedload.cli as cli
 import gradedload.driver as driver
 from gradedload import ConfigError, RealnessError, RunConfig
 from gradedload.cli import main, parse_config_file
+from gradedload.system import MAX_CELLS
 
 
 def test_single_case_report(capsys):
@@ -76,6 +77,53 @@ def test_sweep_gap_point_refused_before_solve(capsys, monkeypatch):
         "ExpansionRangeError: eta = 1.500 falls between the near range (<= 1.0) "
         "and the deep range (>= 2.0)\n"
     )
+
+
+def _exit_code(argv):
+    # argparse exits by itself on a flag value that its type refuses
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cell_count_refused_before_solve(tmp_path, capsys, monkeypatch):
+    # as a flag or a config key, a size that is no integer in [2, MAX_CELLS]
+    # exits 2 before any solve
+    monkeypatch.setattr(driver, "solve_system", lambda *args, **kw: pytest.fail("solve reached"))
+    cfg = tmp_path / "run.cfg"
+    for n in ("1" + "0" * 5000, str(2**62), str(MAX_CELLS + 1), "abc", "-5"):
+        assert _exit_code([f"--n={n}"]) == 2
+        cfg.write_text(f"n={n}\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "ConfigError" in capsys.readouterr().err
+    # an integer that parses reaches the rule, which names the range and n
+    for n in (2**62, MAX_CELLS + 1, -5):
+        assert main([f"--n={n}"]) == 2
+        assert capsys.readouterr().err == (
+            f"ConfigError: number of cells must lie in [2, {MAX_CELLS}], got n = {n}\n"
+        )
+
+
+def test_sweep_inputs_without_sweep_refused(tmp_path, capsys, monkeypatch):
+    # a sweep range and --out apply to sweeps only; without --sweep each is
+    # refused by name before any solve, as a flag or a config key, and no
+    # file is written
+    monkeypatch.setattr(driver, "solve_system", lambda *args, **kw: pytest.fail("solve reached"))
+    path = tmp_path / "x.csv"
+    cfg = tmp_path / "run.cfg"
+    for argv, text, message in (
+        (["--sweep-range", "0.1:0.5:0.1", "--out", str(path)],
+         f"out={path}\nsweep_range=0.1:0.5:0.1\n", "sweep_range given without a sweep axis"),
+        (["--out", str(path)], f"out={path}\n", "out given without a sweep"),
+    ):
+        cfg.write_text(text)
+        for args in (argv, ["--config", str(cfg)]):
+            assert main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"ConfigError: {message}")
+    assert not path.exists()
 
 
 def test_unrepresentable_point_exit_code(capsys):

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import gradedload
 import gradedload.driver as driver
+import gradedload.fields as fields
+import gradedload.system as system
 from gradedload import (
     CaseSolution,
     ConfigError,
@@ -62,6 +65,11 @@ def test_coefficients_built_once_per_case(monkeypatch):
 
 
 # ---------------------------------------------------------------- points
+
+
+def test_evaluate_point_is_one_function():
+    # one evaluator, defined in fields and re-exported by driver and the package
+    assert gradedload.evaluate_point is driver.evaluate_point is fields.evaluate_point
 
 
 def test_evaluate_point_near(case50):
@@ -278,6 +286,24 @@ def test_run_config_caps_sweep_size():
     assert len(driver._sweep_values(rc.sweep_range)) == 4001
     # an empty sweep takes no steps whatever its step size
     assert run_sweep(RunConfig(sweep="nu", sweep_range=(0.5, 0.1, 1e-12)))[1] == []
+
+
+def test_run_config_cell_count_rule():
+    # the rule of system.cell_count, applied before any solve: an integer
+    # with 2 <= n <= MAX_CELLS
+    for n in (10**5000, 2**62, system.MAX_CELLS + 1, "abc", -5):
+        with pytest.raises(ConfigError, match="^number of cells must"):
+            RunConfig(n=n)
+    rc = RunConfig(n=np.int64(system.MAX_CELLS))
+    assert rc.n == system.MAX_CELLS and type(rc.n) is int
+
+
+def test_run_config_sweep_range_needs_sweep():
+    # a range is validated only for a sweep, so without one it is refused,
+    # malformed or not, instead of being stored and ignored
+    for sweep_range in ((0.1, 0.5, 0.1), ("a", "b")):
+        with pytest.raises(ConfigError, match="^sweep_range given without a sweep axis$"):
+            RunConfig(sweep_range=sweep_range)
 
 
 def test_sweep_values_inclusive():

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 import gradedload.kernels as kernels
 from gradedload import MaterialConfig
-from gradedload.kernels import coeff_b, gamma_factors, kernel_g, mellin_m, rhs_f
+from gradedload.kernels import coeff_b, kernel_g, mellin_m, rhs_f
 from gradedload.params import derive_params
 from gradedload.system import block_system, build_grid
 
@@ -85,8 +85,9 @@ def test_coeff_b_bad_component(p01):
 
 def test_kernel_g_frozen_spots(p01):
     s = 0.025 + 1.0j
-    assert kernel_g(1, s, p01) == pytest.approx(G1_SPOT, rel=1e-12)
-    assert kernel_g(2, s, p01) == pytest.approx(G2_SPOT, rel=1e-12)
+    g1, g2 = kernel_g(s, p01)
+    assert g1 == pytest.approx(G1_SPOT, rel=1e-12)
+    assert g2 == pytest.approx(G2_SPOT, rel=1e-12)
 
 
 def test_kernel_g_schwarz(p01):
@@ -97,27 +98,24 @@ def test_kernel_g_schwarz(p01):
     spots += [sigma + 1j * t for t in rng.uniform(-30.0, 30.0, size=100)]
     for j in (1, 2):
         for s in spots:
-            lhs = kernel_g(j, np.conj(s), p01)
-            rhs = np.conj(kernel_g(j, s, p01))
+            lhs = kernel_g(np.conj(s), p01)[j - 1]
+            rhs = np.conj(kernel_g(s, p01)[j - 1])
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
 def test_kernel_g_is_the_shared_gamma_ratio(p01):
-    # bit for bit, G_j is coeff_b * num / den over gamma_factors, and those
-    # are the written gamma products; the ratio does not depend on j, which
-    # lets block_system form it once for both diagonals
+    # bit for bit, G_j is coeff_b times the written gamma products; the
+    # ratio does not depend on j, which lets kernel_g form it once for both
+    # symbols and block_system take both diagonals from one call
     nu = p01.nu
     x = np.arange(1, 101) / 100.0
     args = p01.sigma + 1j / np.pi * np.log(x)
     gamma = kernels.gamma
     for s in (args, np.conj(args), np.concatenate([args, np.conj(args)]), 0.025 + 1j):
-        num, den = gamma_factors(s, nu)
-        assert np.asarray(num).tobytes() == np.asarray(
-            gamma(1.0 - s / 2.0) * gamma((s - nu) / 2.0)).tobytes()
-        assert np.asarray(den).tobytes() == np.asarray(
-            gamma((s + 1.0 - nu) / 2.0) * gamma((3.0 - s) / 2.0)).tobytes()
-        for j in (1, 2):
-            assert np.asarray(kernel_g(j, s, p01)).tobytes() == np.asarray(
+        num = gamma(1.0 - s / 2.0) * gamma((s - nu) / 2.0)
+        den = gamma((s + 1.0 - nu) / 2.0) * gamma((3.0 - s) / 2.0)
+        for j, g in zip((1, 2), kernel_g(s, p01)):
+            assert np.asarray(g).tobytes() == np.asarray(
                 coeff_b(j, s, p01) * num / den).tobytes()
 
 
@@ -163,10 +161,10 @@ def test_kernel_g_asymptotes(p01):
         expo = expos[j - 1]
         s_up = sigma + 1j * tau
         ref_up = 1j * lam * p01.beta ** (expo * s_up)
-        assert abs(kernel_g(j, s_up, p01) / ref_up - 1.0) <= 0.05
+        assert abs(kernel_g(s_up, p01)[j - 1] / ref_up - 1.0) <= 0.05
         s_down = sigma - 1j * tau
         ref_down = -1j * lam * p01.beta ** (expo * s_down)
-        assert abs(kernel_g(j, s_down, p01) / ref_down - 1.0) <= 0.05
+        assert abs(kernel_g(s_down, p01)[j - 1] / ref_down - 1.0) <= 0.05
 
 
 # ---------------------------------------------------------------- f

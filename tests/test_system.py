@@ -1,5 +1,7 @@
 """Grid construction, matrix structure, forcing, and the linear solve."""
 
+import operator
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -35,7 +37,6 @@ def disc16(p01):
 
 def test_nodes_small(p01):
     d = build_grid(4, p01)
-    assert np.array_equal(d.nodes, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
     # collocation at the right and kernel at the left end of each cell
     assert np.array_equal(d.colloc, np.array([0.25, 0.5, 0.75, 1.0]))
     assert np.array_equal(d.left, np.array([0.0, 0.25, 0.5, 0.75]))
@@ -43,12 +44,12 @@ def test_nodes_small(p01):
 
 def test_nodes_default(p01):
     d = build_grid(100, p01)
-    assert d.nodes[50] == 0.5
-    assert d.nodes[0] == 0.0 and d.nodes[100] == 1.0
+    assert d.colloc[49] == 0.5 and d.left[50] == 0.5
+    assert d.left[0] == 0.0 and d.colloc[99] == 1.0
     assert len(d.w_minus) == 100 and len(d.m_plus) == 100
 
 
-def test_degenerate_grid_rejected(p01):
+def test_degenerate_grid_rejected(p01, monkeypatch):
     for n in (1, 0, -3):
         with pytest.raises(ConfigError):
             build_grid(n, p01)
@@ -65,6 +66,14 @@ def test_degenerate_grid_rejected(p01):
     with pytest.raises(ConfigError, match="integer, got an unprintable list$"):
         solve_case(MaterialConfig(), n=[10**5000])
     assert build_grid(np.int64(4), p01).n == 4
+    # a size past the cap is refused before any array is built, so it never
+    # reaches numpy's untyped size errors.  The cap admits n = 1600, the
+    # largest size the convergence studies use
+    assert system.MAX_CELLS >= 1600
+    monkeypatch.setattr(system, "step_weights", lambda *args: pytest.fail("grid built"))
+    for n in (10**5000, 2**62, system.MAX_CELLS + 1, "abc", -5):
+        with pytest.raises(ConfigError, match="^number of cells must"):
+            solve_case(MaterialConfig(), n=n)
 
 
 def test_weights_telescope(p01):
@@ -148,13 +157,13 @@ def test_diagonal_entry_independent(p01):
     x = d.colloc[k - 1]
     expected = (
         2j * np.pi * np.exp(1j * p01.delta1_minus * np.log(x))
-        / kernel_g(2, p01.sigma - 1j / np.pi * np.log(x), p01)
+        / kernel_g(p01.sigma - 1j / np.pi * np.log(x), p01)[1]
     )
     assert diag[k - 1] == pytest.approx(expected, rel=1e-13)
     # third block diagonal pairs the other family with the first component
     expected3 = (
         2j * np.pi * np.exp(1j * p01.delta1_plus * np.log(x))
-        / kernel_g(1, p01.sigma - 1j / np.pi * np.log(x), p01)
+        / kernel_g(p01.sigma - 1j / np.pi * np.log(x), p01)[0]
     )
     assert diag[2 * n + k - 1] == pytest.approx(expected3, rel=1e-13)
 
@@ -244,21 +253,22 @@ def test_lu_multiple_rhs():
 
 
 def test_singular_kernel_node_raises(monkeypatch):
-    # a gamma factor of the kernel symbol at its pole (an infinite
-    # numerator) or overflowing (an infinite denominator) at one node
-    # leaves a NaN or infinite diagonal entry; the solve names the block,
-    # the entry and the bound instead of returning NaN or inf
-    original = system.gamma_factors
+    # the symbol G_2 of D_a at one node at a pole of its numerator (times
+    # inf) or with an overflowing denominator (over inf) leaves a NaN or
+    # infinite diagonal entry; the solve names the block, the entry and the
+    # bound instead of returning NaN or inf
+    original = system.kernel_g
 
-    def faulty(part, value):
-        def factors(s, nu):
-            parts = [np.array(v) for v in original(s, nu)]
-            parts[part][3] = value
-            return tuple(parts)
-        return factors
+    def faulty(op):
+        def symbols(s, p):
+            g1, g2 = original(s, p)
+            g2 = np.array(g2)
+            g2[3] = op(g2[3], np.inf)
+            return g1, g2
+        return symbols
 
-    for part, shown in ((0, "nan"), (1, "inf")):
-        monkeypatch.setattr(system, "gamma_factors", faulty(part, np.inf))
+    for op, shown in ((operator.mul, "nan"), (operator.truediv, "inf")):
+        monkeypatch.setattr(system, "kernel_g", faulty(op))
         with pytest.raises(
             SingularMatrixError, match=rf"D_a: \|entry 3\| = {shown}, need finite and >= 1e-300"
         ):
