@@ -78,7 +78,8 @@ class RunConfig:
     axis of ``SWEEP_AXES`` and ``sweep_range`` is (start, stop, step); the
     grid includes ``stop`` when a whole number of steps reaches it, up to
     float drift, and never goes past it.  A ``sweep_range`` without a
-    ``sweep`` is refused.  Points and range are stored as Python floats.
+    ``sweep`` is refused.  Points and range are stored as Python floats, and
+    ``material`` must be a :class:`MaterialConfig`.
     """
 
     material: MaterialConfig = field(default_factory=MaterialConfig)
@@ -88,6 +89,10 @@ class RunConfig:
     sweep_range: tuple | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.material, MaterialConfig):
+            raise ConfigError(
+                f"material must be a MaterialConfig, got {shown(self.material)}"
+            )
         object.__setattr__(self, "n", cell_count(self.n))
         if self.sweep is None and self.sweep_range is not None:
             raise ConfigError("sweep_range given without a sweep axis")

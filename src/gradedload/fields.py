@@ -37,7 +37,7 @@ from .errors import (
     SingularPointError,
 )
 from .kernels import coeff_b
-from .params import DerivedParams, MaterialConfig
+from .params import DerivedParams, MaterialConfig, real_float
 from .system import SIESolution
 
 if TYPE_CHECKING:
@@ -73,8 +73,8 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
     Quadrature of the solved densities against the load kernel; the
     component-j functional integrates the opposite-component densities,
     ``sol.f2`` for j = 1 and ``sol.f1`` for j = 2.  Both stacks carry the
-    exponents ``[delta1^+; delta1^-]``, so their halves take the weights
-    ``[w_plus; w_minus]``; only the denominators swap between the two
+    exponents ``[delta1^+; delta1^-]``, so their halves take the halves of
+    the stacked weights ``w``; only the denominators swap between the two
     components.  With an all-zero solution only the forcing term
     ``-delta_jm / cos(pi nu / 2)`` survives, which pins the normalization.
     The "-" variant's values are ``J Phi J`` (see :func:`constants_c`).
@@ -94,7 +94,7 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
     den_minus = xn / phase + phase
     # (densities, denominator of their first half, of their second) per component
     phi = np.array([
-        [0.5j / np.pi * np.sum(f[n:, k] * d.w_minus / den_b + f[:n, k] * d.w_plus / den_a)
+        [0.5j / np.pi * np.sum(f[n:, k] * d.w[n:] / den_b + f[:n, k] * d.w[:n] / den_a)
          for k in (0, 1)]
         for f, den_a, den_b in ((sol.f2, den_minus, den_plus), (sol.f1, den_plus, den_minus))
     ])
@@ -351,13 +351,18 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
     Raises
     ------
     ConfigError
-        If the point breaks the rule of :func:`locate`.
+        If xi or y is not a real number (:func:`~gradedload.params.real_float`,
+        which makes both Python floats), or the point breaks the rule of
+        :func:`locate`.
     SingularPointError
         At the load point xi = xi0, or so near it that eta or a field
         leaves the floating-point range.
     RealnessError
         If a projected pair keeps an imaginary residue above 1e-2.
     """
+    if type(xi) is not float or type(y) is not float:
+        xi = real_float(xi, "query coordinate xi")
+        y = real_float(y, "query coordinate y")
     xi0 = case.config.xi0
     eta, expansion = locate(xi, y, xi0)
     if expansion == "out-of-range":

@@ -18,7 +18,11 @@ pairing ``delta2^- = delta1^+``, ``delta2^+ = delta1^-`` both density stacks
 carry the exponents ``[delta1^+; delta1^-]``, so both coupling blocks are
 one matrix K and ``A = [[D_a, K], [K, D_b]]`` with diagonal ``D_a``, ``D_b``,
 which divide by the symbols ``G_2`` and ``G_1`` of one
-:func:`~gradedload.kernels.kernel_g` call.
+:func:`~gradedload.kernels.kernel_g` call.  The grid stacks the cell
+weights ``w`` and the kernel heads M(x_k, delta) in the same order, and
+``K = K_X diag(w)`` plus two head columns: K_X is one real grid kernel,
+regular 1/(1 + y x) on its diagonal quadrants and singular 1/(y + x) off
+them, and the head columns make each row of S(delta) sum to M(x_k, delta).
 This is the "+" sign variant of the formulation and the only one solved.
 The "-" variant negates the diagonal blocks and the forcing,
 ``A_- = -J A J`` and ``r_- = -r`` with ``J = diag(I, -I)``.
@@ -34,11 +38,10 @@ The system is solved by eliminating ``D_a`` and factorizing the
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .errors import ConfigError, SingularMatrixError
 from .kernels import kernel_g, mellin_m, rhs_f
@@ -50,8 +53,6 @@ __all__ = [
     "cell_count",
     "build_grid",
     "step_weights",
-    "singular_block",
-    "regular_block",
     "BlockSystem",
     "block_system",
     "assemble_rhs",
@@ -97,19 +98,17 @@ class Discretization:
     The grid keeps two point sets: ``colloc`` holds the collocation points
     x_1..x_N and ``left`` the points x_0..x_{N-1} at which the kernels take
     each cell; every block, the forcing and the boundary functionals read
-    them from here.  The weight and kernel-head vectors are indexed by cell
-    (length N).  ``w_plus``/``m_plus`` belong to the exponent delta1^+ of
-    the first N rows of both density stacks, ``w_minus``/``m_minus`` to
-    delta1^- of the last N.
+    them from here.  The cell weights ``w`` and the kernel heads
+    ``heads`` = M(x_k, delta), indexed by cell, are stacked
+    ``[delta1^+; delta1^-]`` (length 2N), the order of both density stacks.
+    The coupling block is K = K_X diag(w) plus two head columns.
     """
 
     n: int
     colloc: np.ndarray
     left: np.ndarray
-    w_minus: np.ndarray
-    w_plus: np.ndarray
-    m_minus: np.ndarray
-    m_plus: np.ndarray
+    w: np.ndarray
+    heads: np.ndarray
 
 
 def build_grid(n: int, p: DerivedParams) -> Discretization:
@@ -128,35 +127,12 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     n = cell_count(n)
     nodes = np.arange(n + 1, dtype=float) / n
     colloc = nodes[1:]
-    w_minus = step_weights(nodes, p.delta1_minus)
-    w_plus = step_weights(nodes, p.delta1_plus)
-    m_minus = mellin_m(colloc, p.delta1_minus)
-    m_plus = mellin_m(colloc, p.delta1_plus)
+    deltas = (p.delta1_plus, p.delta1_minus)
     return Discretization(
         n=n, colloc=colloc, left=nodes[:-1],
-        w_minus=w_minus, w_plus=w_plus, m_minus=m_minus, m_plus=m_plus,
+        w=np.concatenate([step_weights(nodes, delta) for delta in deltas]),
+        heads=np.concatenate([mellin_m(colloc, delta) for delta in deltas]),
     )
-
-
-def singular_block(
-    d: Discretization, weights: np.ndarray, heads: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Block S(delta): kernel 1/(y + x) with the fixed singularity at 0.
-
-    Entries n >= 2 are w_n/(x_{n-1} + x_k); the first column carries the
-    exact kernel head M(x_k, delta) minus the left-endpoint sum it replaces,
-    so that each row sums to M(x_k, delta).  Written into ``out`` if given.
-    """
-    block = np.divide(weights[None, :], d.left[None, :] + d.colloc[:, None], out=out)
-    block[:, 0] = heads - block[:, 1:].sum(axis=1)
-    return block
-
-
-def regular_block(
-    d: Discretization, weights: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Block R(delta): regular kernel 1/(1 + y x), written into ``out`` if given."""
-    return np.divide(weights[None, :], 1.0 + d.left[None, :] * d.colloc[:, None], out=out)
 
 
 @dataclass(frozen=True)
@@ -164,7 +140,8 @@ class BlockSystem:
     """The collocation matrix ``A = [[D_a, K], [K, D_b]]`` in blocks.
 
     ``diag_a`` = (D2, D1) and ``diag_b`` = (D3, D4) hold the diagonals and
-    ``k`` = [[R+, S-], [S+, R-]] is the coupling block of both block rows.
+    ``k`` = [[R+, S-], [S+, R-]] is the coupling block of both block rows,
+    R(delta) the regular and S(delta) the singular quadrant.
     The dense matrix itself is never formed.
     """
 
@@ -185,7 +162,10 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
 
     The arguments of ``diag_b`` are those of ``diag_a`` with their halves
     swapped, so both come from one :func:`~gradedload.kernels.kernel_g`
-    call; the four blocks of K are written in place into one array.
+    call.  K is ``K_X diag(d.w)``, written in place quadrant by quadrant,
+    with K_X taking each cell at its left point x_{n-1}.  The first column
+    of each singular quadrant then carries the head M(x_k, delta) minus the
+    sum it replaces.
     """
     n = d.n
     log_xk = np.log(d.colloc)
@@ -202,11 +182,17 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
         g1, g2 = kernel_g(args_a, p)
         diag_a = scale * osc / g2
         diag_b = scale * osc / np.roll(g1, n)
+    w_plus, w_minus = d.w[:n], d.w[n:]
     k = np.empty((2 * n, 2 * n), dtype=complex)
-    regular_block(d, d.w_plus, out=k[:n, :n])
-    singular_block(d, d.w_minus, d.m_minus, out=k[:n, n:])
-    singular_block(d, d.w_plus, d.m_plus, out=k[n:, :n])
-    regular_block(d, d.w_minus, out=k[n:, n:])
+    # one real kernel at a time: both at once cost 2 MB of peak RSS at n = 400
+    kernel = 1.0 + d.left[None, :] * d.colloc[:, None]  # regular, diagonal quadrants
+    np.divide(w_plus, kernel, out=k[:n, :n])
+    np.divide(w_minus, kernel, out=k[n:, n:])
+    kernel = d.left[None, :] + d.colloc[:, None]  # singular, off them
+    np.divide(w_minus, kernel, out=k[:n, n:])
+    np.divide(w_plus, kernel, out=k[n:, :n])
+    k[n:, 0] = d.heads[:n] - k[n:, 1:n].sum(axis=1)
+    k[:n, n] = d.heads[n:] - k[:n, n + 1:].sum(axis=1)
     return BlockSystem(diag_a=diag_a, diag_b=diag_b, k=k)
 
 
@@ -246,9 +232,9 @@ def block_solve(
     """Solve ``A [u; v] = [rhs_a; rhs_b]`` by elimination.
 
     Eliminates the diagonal ``D_a``, factorizes the Schur complement
-    ``S = D_b - K D_a^-1 K`` once (dense LU with partial pivoting), and
-    recovers ``u = D_a^-1 (rhs_a - K v)``.  One step of iterative
-    refinement with the same factors follows.  ``rhs_a`` and ``rhs_b`` may
+    ``S = D_b - K D_a^-1 K`` once (LAPACK ``zgetrf``, dense LU with partial
+    pivoting), and recovers ``u = D_a^-1 (rhs_a - K v)``.  One step of
+    iterative refinement with the same factors follows.  ``rhs_a`` and ``rhs_b`` may
     hold several right-hand sides as columns.
 
     Raises
@@ -262,14 +248,12 @@ def block_solve(
     k = bs.k
     schur = -(k @ (k / da[:, None]))
     schur[np.diag_indices_from(schur)] += bs.diag_b
-    with warnings.catch_warnings():
-        # an exactly zero pivot is reported below as a typed error
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        factors = sla.lu_factor(schur, check_finite=False)
-    _require_divisors("Schur complement S", "pivot", np.diagonal(factors[0]))
+    # an exactly zero pivot shows only in zgetrf's info; the gate names it
+    lu, piv, _ = zgetrf(schur)
+    _require_divisors("Schur complement S", "pivot", np.diagonal(lu))
 
     def eliminate(ra, rb):
-        v = sla.lu_solve(factors, rb - k @ (ra / da[:, None]), check_finite=False)
+        v = zgetrs(lu, piv, rb - k @ (ra / da[:, None]))[0]
         return (ra - k @ v) / da[:, None], v
 
     u, v = eliminate(rhs_a, rhs_b)

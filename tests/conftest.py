@@ -13,7 +13,7 @@ import gradedload.system
 from gradedload import MaterialConfig, solve_case
 from gradedload.fields import boundary_phi
 from gradedload.kernels import kernel_g
-from gradedload.system import assemble_rhs, regular_block, singular_block
+from gradedload.system import assemble_rhs
 
 _CACHE: dict = {}
 
@@ -86,14 +86,34 @@ def solver_order(n: int) -> np.ndarray:
     return np.r_[n:2 * n, 0:n, 2 * n:4 * n]
 
 
+def singular_block(d, weights, heads):
+    """Block S(delta) of the paper: kernel 1/(y + x), fixed singularity at 0.
+
+    Entry (k, n) is w_n/(x_{n-1} + x_k), the cell taken at its left point
+    and collocated at x_k; the first column is replaced by the exact head
+    M(x_k, delta) minus the sum of the others, so each row sums to
+    M(x_k, delta).
+    """
+    block = weights[None, :] / (d.left[None, :] + d.colloc[:, None])
+    block[:, 0] = heads - block[:, 1:].sum(axis=1)
+    return block
+
+
+def regular_block(d, weights):
+    """Block R(delta) of the paper: entry (k, n) is w_n/(1 + x_{n-1} x_k)."""
+    return weights[None, :] / (1.0 + d.left[None, :] * d.colloc[:, None])
+
+
 def dense_matrix(d, p, sign):
     """Dense 4N x 4N matrix of one sign variant in the paper's layout.
 
     Rows are the equations (1, 2, 3, 4) and columns the densities
     ``[F1^-; F1^+; F2^-; F2^+]``; :func:`solver_order` maps it to the
     solver's order.  Independent of ``block_system``: the diagonals come
-    straight from kernel_g and the coupling blocks from the public block
-    builders.  The sign multiplies the four diagonal blocks.
+    straight from kernel_g and the coupling blocks from
+    :func:`singular_block` and :func:`regular_block` here, each written
+    from the paper's formula with the weights and heads of its exponent.
+    The sign multiplies the four diagonal blocks.
     """
     n = d.n
     log_x = np.log(d.colloc)
@@ -108,10 +128,12 @@ def dense_matrix(d, p, sign):
         scale * osc_plus / kernel_g(arg_minus, p)[0],
         scale * osc_minus / kernel_g(arg_plus, p)[0],
     )
-    s_plus = singular_block(d, d.w_plus, d.m_plus)
-    s_minus = singular_block(d, d.w_minus, d.m_minus)
-    r_plus = regular_block(d, d.w_plus)
-    r_minus = regular_block(d, d.w_minus)
+    # the grid stacks weights and heads as [delta1^+; delta1^-]
+    w_plus, w_minus = d.w[:n], d.w[n:]
+    s_plus = singular_block(d, w_plus, d.heads[:n])
+    s_minus = singular_block(d, w_minus, d.heads[n:])
+    r_plus = regular_block(d, w_plus)
+    r_minus = regular_block(d, w_minus)
     zero = np.zeros((n, n), dtype=complex)
     d1, d2, d3, d4 = (np.diag(v) for v in diags)
     return np.block([

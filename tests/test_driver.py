@@ -1,6 +1,7 @@
 """Case orchestration: solve, point evaluation, reports, sweeps, CSV."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,15 @@ def test_run_config_types_malformed_inputs():
     ):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**kwargs)
+
+
+def test_run_config_refuses_non_material():
+    # refused by name before any field of it is read
+    for material in (None, {"nu": 0.3}):
+        with pytest.raises(ConfigError, match=(
+            f"^material must be a MaterialConfig, got {re.escape(repr(material))}$"
+        )):
+            RunConfig(material=material)
 
 
 def test_run_config_int_beyond_float_range_refused():

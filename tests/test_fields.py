@@ -60,7 +60,7 @@ def test_phi_from_family_exponents(case25, case50, case100):
     for case in (case25, case50, case100):
         sol = case.solution
         d, p, n = sol.disc, sol.params, sol.disc.n
-        weights = {"delta1^-": d.w_minus, "delta1^+": d.w_plus}
+        weights = {"delta1^-": d.w[n:], "delta1^+": d.w[:n]}
         # the stacks in the paper's order [F1^-; F1^+; F2^-; F2^+]
         stacks = np.concatenate([sol.f1, sol.f2])[solver_order(n)]
         # component j -> (density stack, exponent of its "+" rows, of its "-" rows)
@@ -511,6 +511,29 @@ def test_non_finite_query_point_refused(case50):
     ):
         with pytest.raises(ConfigError, match=f"{name} must be finite, got -?(nan|inf)"):
             evaluate_point(case50, xi, y)
+
+
+def test_query_point_number_rule(case50):
+    # evaluate_point takes its coordinates by the number rule of every
+    # config (params.real_float): a non-real or unconvertible value is a
+    # ConfigError naming the coordinate, and a numpy or int coordinate
+    # gives the record of the float call, with Python floats throughout
+    for xi, y, name in (
+        ("a", 0.0, "xi"), (1 + 0j, 0.0, "xi"), (None, 0.0, "xi"), (-1.0, [0.3], "y"),
+    ):
+        with pytest.raises(ConfigError, match=f"^query coordinate {name} must be a real number"):
+            evaluate_point(case50, xi, y)
+    with pytest.raises(ConfigError, match=(
+        "^query coordinate xi must be finite, got an integer beyond the float range$"
+    )):
+        evaluate_point(case50, 10**400, 0.0)
+    for xi, y in ((-1.0, 0.3), (0.5, 2.0), (-1.0, 1.5)):
+        expected = repr(evaluate_point(case50, xi, y))
+        assert repr(evaluate_point(case50, np.float64(xi), np.float64(y))) == expected
+        assert repr(evaluate_point(case50, xi, np.float64(y))) == expected
+    expected = repr(evaluate_point(case50, -1.0, 0.0))
+    for xi, y in ((-1, 0), (np.int64(-1), 0.0), (-1.0, np.float64(0.0))):
+        assert repr(evaluate_point(case50, xi, y)) == expected
 
 
 def test_unrepresentable_fields_refused():

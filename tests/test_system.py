@@ -46,7 +46,7 @@ def test_nodes_default(p01):
     d = build_grid(100, p01)
     assert d.colloc[49] == 0.5 and d.left[50] == 0.5
     assert d.left[0] == 0.0 and d.colloc[99] == 1.0
-    assert len(d.w_minus) == 100 and len(d.m_plus) == 100
+    assert len(d.w) == len(d.heads) == 200
 
 
 def test_degenerate_grid_rejected(p01, monkeypatch):
@@ -173,9 +173,9 @@ def test_singular_block_row_sums(disc16, p01):
     blocks = _dense_blocks(block_system(disc16, p01))
     n = disc16.n
     row_sums_13 = blocks[(0, 2)].sum(axis=1)
-    assert np.allclose(row_sums_13, disc16.m_plus, rtol=1e-12, atol=1e-12)
+    assert np.allclose(row_sums_13, disc16.heads[:n], rtol=1e-12, atol=1e-12)
     row_sums_24 = blocks[(1, 3)].sum(axis=1)
-    assert np.allclose(row_sums_24, disc16.m_minus, rtol=1e-12, atol=1e-12)
+    assert np.allclose(row_sums_24, disc16.heads[n:], rtol=1e-12, atol=1e-12)
     for k in (1, n):
         assert row_sums_13[k - 1] == pytest.approx(
             mellin_m(disc16.colloc[k - 1], p01.delta1_plus), rel=1e-12
