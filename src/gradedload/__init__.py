@@ -27,7 +27,6 @@ from .errors import (
     DegenerateDeterminantError,
     ExpansionRangeError,
     GradedLoadError,
-    OscillationRegimeError,
     RealnessError,
     SingularMatrixError,
     SingularPointError,
@@ -51,7 +50,6 @@ __all__ = [
     "SubsonicViolation",
     "SingularPointError",
     "ExpansionRangeError",
-    "OscillationRegimeError",
     "SingularMatrixError",
     "DegenerateDeterminantError",
     "RealnessError",

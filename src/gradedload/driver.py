@@ -30,7 +30,7 @@ from .fields import (
     field_coeffs,
     locate,
 )
-from .params import DerivedParams, MaterialConfig, real_float, shown
+from .params import DerivedParams, MaterialConfig, real_float, require_material, shown
 from .system import SIESolution, cell_count, solve_system
 
 __all__ = [
@@ -89,15 +89,12 @@ class RunConfig:
     sweep_range: tuple | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.material, MaterialConfig):
-            raise ConfigError(
-                f"material must be a MaterialConfig, got {shown(self.material)}"
-            )
+        require_material(self.material)
         object.__setattr__(self, "n", cell_count(self.n))
         if self.sweep is None and self.sweep_range is not None:
             raise ConfigError("sweep_range given without a sweep axis")
         if self.sweep is not None:
-            if self.sweep not in SWEEP_AXES:
+            if not isinstance(self.sweep, str) or self.sweep not in SWEEP_AXES:
                 raise ConfigError(
                     f"sweep must be one of {tuple(SWEEP_AXES)}, got {shown(self.sweep)}"
                 )

@@ -12,7 +12,6 @@ __all__ = [
     "SubsonicViolation",
     "SingularPointError",
     "ExpansionRangeError",
-    "OscillationRegimeError",
     "SingularMatrixError",
     "DegenerateDeterminantError",
     "RealnessError",
@@ -38,10 +37,6 @@ class SingularPointError(ConfigError):
 
 class ExpansionRangeError(ConfigError):
     """A sweep's first query point lies between the two expansion ranges."""
-
-
-class OscillationRegimeError(GradedLoadError):
-    """Oscillation exponents have no real solution (r < 1)."""
 
 
 class SingularMatrixError(GradedLoadError):

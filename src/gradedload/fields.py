@@ -63,8 +63,6 @@ _RESIDUE_SANITY = 1e-2
 # eta = y/|xi - xi0| ranges of the near-surface and the deep expansion
 NEAR_ETA_MAX = 1.0
 DEEP_ETA_MIN = 2.0
-# entries that J Phi J negates, J = diag(1, -1)
-_OFF_DIAGONAL = ~np.eye(2, dtype=bool)
 
 
 def boundary_phi(sol: SIESolution) -> np.ndarray:
@@ -125,9 +123,11 @@ def constants_c(
     """Solve for the load constants ``C_{j +-}`` by Cramer's rule.
 
     ``phi`` is the "+" matrix from :func:`boundary_phi`.  The "-" matrix
-    ``J phi J`` negates its off-diagonal entries, which is exact, and has
-    the same determinant ``Delta = Phi_1^(1) Phi_2^(2) - Phi_1^(2) Phi_2^(1)``:
-    the two negated factors of the second product cancel exactly.
+    ``J phi J`` negates its off-diagonal entries and has the same
+    determinant ``Delta = Phi_1^(1) Phi_2^(2) - Phi_1^(2) Phi_2^(1)``: the
+    two negated factors of the second product cancel exactly.  So the "-"
+    constants are the "+" Cramer terms with the two off-diagonal products
+    negated, which is exact too.
 
     Raises
     ------
@@ -142,18 +142,18 @@ def constants_c(
     g1h1 = p.gamma1 * config.h1
     g2h2 = p.gamma2 * config.h2
 
-    def cramer(f: np.ndarray) -> np.ndarray:
+    def cramer(sign: float) -> np.ndarray:
         return np.array([
-            (g1h1 * f[1, 1] - g2h2 * f[0, 1]) / delta,
-            (g2h2 * f[0, 0] - g1h1 * f[1, 0]) / delta,
+            (g1h1 * phi[1, 1] - sign * g2h2 * phi[0, 1]) / delta,
+            (g2h2 * phi[0, 0] - sign * g1h1 * phi[1, 0]) / delta,
         ])
 
     return BoundaryConstants(
         phi=phi,
         delta_plus=delta,
         delta_minus=delta,
-        c_plus=cramer(phi),
-        c_minus=cramer(np.where(_OFF_DIAGONAL, -phi, phi)),
+        c_plus=cramer(1.0),
+        c_minus=cramer(-1.0),
     )
 
 

@@ -16,11 +16,11 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, OscillationRegimeError, SubsonicViolation
+from .errors import ConfigError, SubsonicViolation
 
 __all__ = [
     "SIGMA_FRACTION", "MaterialConfig", "DerivedParams", "derive_params", "real_float",
-    "shown",
+    "require_material", "shown",
 ]
 
 # the Mellin inversion strip Re s = sigma sits at this fraction of nu; the
@@ -106,6 +106,12 @@ class MaterialConfig:
                 raise ConfigError(f"{name} must be finite, got {v}")
 
 
+def require_material(value) -> None:
+    """Refuse a ``value`` that is not a :class:`MaterialConfig` (``ConfigError``)."""
+    if not isinstance(value, MaterialConfig):
+        raise ConfigError(f"material must be a MaterialConfig, got {shown(value)}")
+
+
 @dataclass(frozen=True)
 class DerivedParams:
     """Parameters derived from a :class:`MaterialConfig`.
@@ -141,22 +147,32 @@ class DerivedParams:
 
 
 def _oscillation_shift(beta: float, lam1: float, lam2: float) -> tuple[float, float]:
-    """Solve the exponent matching conditions for (r, l).
+    """Solve the exponent matching conditions for (r, l), ``cosh(2 pi l) = r``.
 
     cosh(pi*eps) is evaluated as (sqrt(beta) + 1/sqrt(beta))/2 to avoid an
     exp/log round trip, and l through log1p to keep accuracy when r is
-    close to 1.
+    close to 1.  With ``v = (V/c_s)**2`` and ``k = (c_d/c_s)**2``,
+
+        r - 1 = (k - 1)**2 v**2 / (2 q (2k - (k + 1) v + 2q)),
+        q = sqrt(k (k - v) (1 - v)),
+
+    which is positive for every subsonic load.  The difference
+    ``cosh(pi*eps) - lam1*lam2/2`` cancels, though, and at slow loads
+    (V/c_s below about 1e-3) it can round to just below 1; ``r - 1`` is
+    then taken as 0, which gives l = 0.
     """
     sqrt_beta = math.sqrt(beta)
     cosh_pi_eps = (sqrt_beta + 1.0 / sqrt_beta) / 2.0
     r = cosh_pi_eps - lam1 * lam2 / 2.0
-    if r < 1.0:
-        raise OscillationRegimeError(
-            f"no real oscillation exponents: r = {r} < 1"
-        )
-    rm1 = r - 1.0
+    rm1 = max(r - 1.0, 0.0)
     l = math.log1p(rm1 + math.sqrt(rm1 * (r + 1.0))) / (2.0 * math.pi)
     return r, l
+
+
+def _too_slow(config: MaterialConfig, what: str) -> ConfigError:
+    return ConfigError(
+        f"speed_ratio = {config.speed_ratio} is too slow at nu_p = {config.nu_p}: {what}"
+    )
 
 
 def derive_params(config: MaterialConfig) -> DerivedParams:
@@ -175,21 +191,30 @@ def derive_params(config: MaterialConfig) -> DerivedParams:
 
     Raises
     ------
-    ConfigError, SubsonicViolation, OscillationRegimeError
+    ConfigError
+        If ``config`` is not a :class:`MaterialConfig`, or if the load is
+        so slow (V/c_s below about 1e-151) that ``(c_d/V)**2`` or the
+        denominator of ``lam1`` leaves the float range.
     """
+    require_material(config)
     nu = config.nu
     cd2_cs2 = 2.0 * (1.0 - config.nu_p) / (1.0 - 2.0 * config.nu_p)
     a_s = 1.0 / config.speed_ratio
     a_d = a_s * math.sqrt(cd2_cs2)
     a_s2 = a_s * a_s
     a_d2 = a_d * a_d
-    # subsonic gate guarantees a_s > 1; c_d > c_s guarantees a_d > a_s
+    # subsonic gate guarantees a_s > 1; c_d > c_s guarantees a_d > a_s, so
+    # a finite a_d2 leaves a_s2 finite too
+    if not math.isfinite(a_d2):
+        raise _too_slow(config, f"(c_d/V)**2 = {a_d2} leaves the float range")
     beta1 = a_s2 / (a_d2 - 1.0)
     beta2 = a_d2 / (a_s2 - 1.0)
     beta = beta2 / beta1
     eps = math.log(beta) / (2.0 * math.pi)
     lam1 = (a_d2 - a_s2) / ((a_d2 - 1.0) * math.sqrt(beta2))
     lam2 = (a_d2 - a_s2) / ((a_s2 - 1.0) * math.sqrt(beta1))
+    if not lam1 > 0.0:
+        raise _too_slow(config, f"the kernel amplitude lam1 = {lam1} is not positive")
     r, l = _oscillation_shift(beta, lam1, lam2)
     delta1_minus = eps / 2.0 + l
     delta1_plus = -eps / 2.0 + l

@@ -26,6 +26,18 @@ def test_supersonic_exit_code(capsys):
     assert "SubsonicViolation" in err
 
 
+def test_slow_load_exit_codes(capsys):
+    # r rounds below 1 at V/c_s = 1e-6 and the case still solves; below
+    # about 1e-151, (c_d/V)**2 leaves the float range and the config is refused
+    assert main(["--n", "25", "--speed-ratio", "1e-6"]) == 0
+    assert "l=0 " in capsys.readouterr().out
+    for speed in ("1e-154", "1e-160", "1e-300"):
+        assert main(["--n", "25", "--speed-ratio", speed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ConfigError: speed_ratio = {speed} is too slow")
+
+
 def test_bad_sweep_range(capsys, monkeypatch):
     # refused while the config is built; the sweep itself, which has no
     # grid count for a NaN bound, must not be reached

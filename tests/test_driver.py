@@ -30,6 +30,20 @@ from gradedload.fields import FieldResult
 # ---------------------------------------------------------------- solve_case
 
 
+def test_slow_loads_continuous():
+    # the static end of the subsonic range solves: from V/c_s = 1e-5 down, where
+    # l reads 0, Delta and the fields move only by O((V/c_s)**2)
+    def outputs(speed):
+        case = solve_case(MaterialConfig(nu=0.3, nu_p=0.3, speed_ratio=speed))
+        r = evaluate_point(case, -1.0, 0.3)
+        return (case.constants.delta_plus, r.u1, r.u2, r.du1_dxi, r.du2_dxi, r.s12, r.s22)
+
+    reference = outputs(1e-5)
+    for speed in (1e-6, 1e-20, 1e-100):
+        for value, ref in zip(outputs(speed), reference):
+            assert value == pytest.approx(ref, rel=1e-9)
+
+
 def test_solve_case_contents(case25):
     assert isinstance(case25, CaseSolution)
     assert case25.config == MaterialConfig()
@@ -218,18 +232,23 @@ def test_run_config_types_malformed_inputs():
          r"query point must be \(xi, y\) of real numbers, got \(-1.0, 'x'\)"),
         (dict(sweep="nu", sweep_range=("a", 0.5, 0.1)),
          r"sweep range must be \(start, stop, step\) of real numbers, got \('a', 0.5, 0.1\)"),
+        # not hashable, so not looked up in SWEEP_AXES
+        (dict(sweep=["nu"], sweep_range=(0.1, 0.5, 0.1)),
+         r"sweep must be one of \('nu', 'speed'\), got \['nu'\]"),
     ):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**kwargs)
 
 
 def test_run_config_refuses_non_material():
-    # refused by name before any field of it is read
+    # refused by name before any field of it is read, by RunConfig and by
+    # the solve, whose derived parameters apply the same rule
     for material in (None, {"nu": 0.3}):
-        with pytest.raises(ConfigError, match=(
-            f"^material must be a MaterialConfig, got {re.escape(repr(material))}$"
-        )):
-            RunConfig(material=material)
+        for entry in (lambda: RunConfig(material=material), lambda: solve_case(material)):
+            with pytest.raises(ConfigError, match=(
+                f"^material must be a MaterialConfig, got {re.escape(repr(material))}$"
+            )):
+                entry()
 
 
 def test_run_config_int_beyond_float_range_refused():

@@ -6,18 +6,14 @@ regression in test_acceptance.py.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedload import (
-    ConfigError,
-    MaterialConfig,
-    OscillationRegimeError,
-    SubsonicViolation,
-)
+from gradedload import ConfigError, MaterialConfig, SubsonicViolation
 from gradedload.params import SIGMA_FRACTION, _oscillation_shift, derive_params
 
 # frozen: nu_P = 0.3, V/c_s = 0.2 (mpmath, 30 dps)
@@ -182,13 +178,48 @@ def test_parameter_grid_identities():
             assert abs(p.lam1 * p.lam2 / (4.0 * prod) + 1.0) <= 1e-10
 
 
-def test_oscillation_regime_guard():
-    # unreachable from valid configs (r > 1 always); exercised synthetically
-    with pytest.raises(OscillationRegimeError):
-        _oscillation_shift(beta=4.0, lam1=2.0, lam2=2.0)
+def l_from_exact_r(nu_p: float, speed: float) -> float:
+    # independent oracle: l from the cancellation-free form of r - 1 in
+    # v = (V/c_s)**2 and k = (c_d/c_s)**2, positive for every 0 < v < 1
+    k = 2.0 * (1.0 - nu_p) / (1.0 - 2.0 * nu_p)
+    v = speed * speed
+    q = math.sqrt(k * (k - v) * (1.0 - v))
+    rm1 = (k - 1.0) ** 2 * v * v / (2.0 * q * (2.0 * k - (k + 1.0) * v + 2.0 * q))
+    return math.log1p(rm1 + math.sqrt(rm1 * (rm1 + 2.0))) / (2.0 * math.pi)
+
+
+def test_oscillation_shift_total_on_subsonic_loads():
+    # r > 1 for every subsonic load, but the computed cosh(pi eps) -
+    # lam1 lam2 / 2 cancels and can round to just below 1 at slow loads; its
+    # excess over 1 is clamped at 0, so no subsonic config is refused, and l
+    # keeps only the cancellation error (largest near nu_p = 0.5)
+    for nu_p in (0.0, 0.1, 0.3, 0.45, 0.49, 0.4999):
+        for speed in np.logspace(-140, math.log10(0.99), 141).tolist():
+            p = derive_params(MaterialConfig(nu_p=nu_p, speed_ratio=speed))
+            assert p.l_param >= 0.0
+            assert abs(p.l_param - l_from_exact_r(nu_p, speed)) <= 3e-7
+    # r is stored as computed; l is 0 where it rounds below 1
+    p = derive_params(MaterialConfig(speed_ratio=1e-6))
+    assert p.r_param < 1.0 and p.l_param == 0.0
+    assert _oscillation_shift(beta=4.0, lam1=2.0, lam2=2.0) == (-0.75, 0.0)
     r, l = _oscillation_shift(beta=4.0, lam1=0.1, lam2=0.1)
     assert r == pytest.approx(1.245, rel=1e-12)
     assert math.cosh(2.0 * math.pi * l) == pytest.approx(r, rel=1e-12)
+
+
+def test_speed_floor_refused_by_name():
+    # below V/c_s of about 1e-151, (c_d/V)**2 leaves the float range, or the
+    # denominator of lam1 does and lam1 reads 0 (which would make delta1+ = 0)
+    for nu_p, speed, what in (
+        (0.3, 1e-154, r"\(c_d/V\)\*\*2 = inf leaves the float range"),
+        (0.3, 1e-160, r"\(c_d/V\)\*\*2 = inf"),
+        (0.0, 1e-300, r"\(c_d/V\)\*\*2 = inf"),
+        (0.4999, 10**-151.4, r"the kernel amplitude lam1 = 0\.0 is not positive"),
+    ):
+        with pytest.raises(ConfigError, match=(
+            f"^speed_ratio = {re.escape(repr(speed))} is too slow at nu_p = {nu_p}: {what}"
+        )):
+            derive_params(MaterialConfig(nu_p=nu_p, speed_ratio=speed))
 
 
 @settings(max_examples=60, derandomize=True)

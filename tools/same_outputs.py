@@ -9,7 +9,8 @@ Run from the repository root::
 the ``src`` of another checkout.  The script imports the package from the
 ``src`` of the checkout it sits in and then from ``OTHER_SRC``, in one
 process with one BLAS thread, and runs both on the same seeded study
-configs at n = 100.  Per config it records
+configs at n = 100, and on a smaller seeded set of slow loads with V/c_s
+log-uniform in [1e-12, 1e-3].  Per config it records
 
 - the ``solve_case`` outputs: the density stacks ``f1``/``f2`` as bytes,
   the solve residuals, Delta, C+- and the expansion coefficients of both
@@ -22,8 +23,9 @@ It records the same ``solve_case`` outputs for the five configs of
 ``solve-n400`` workload reads its solve residuals.
 
 Floats are compared through ``repr`` or raw bytes, so equal means equal to
-the bit.  It prints how many records differ and exits 1 if any do, 2 if
-``OTHER_SRC`` holds no package.
+the bit.  It prints how many records differ, and how many of those belong
+to the slow loads, and exits 1 if any do, 2 if ``OTHER_SRC`` holds no
+package.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ N_REFERENCE = 400
 # study domain of perfbench's study-n100: nu, V/c_s, nu_p
 LOW = (0.05, 0.05, 0.0)
 HIGH = (0.95, 0.95, 0.45)
+# slow loads, the study's nu and nu_p with log10(V/c_s) uniform in [-12, -3]
+SLOW_SEED = 1
+SLOW_CONFIGS = 64
+SLOW_LOW = (0.05, -12.0, 0.0)
+SLOW_HIGH = (0.95, -3.0, 0.45)
 # perfbench's MIX: surface, near, gap and deep points on both sides of xi0 = 0
 POINTS = (
     (-1.0, 0.0), (1.0, 0.0), (-0.25, 0.0), (2.0, 0.0),
@@ -96,12 +103,23 @@ def _solve(pkg, material, n: int):
     )
 
 
+def configs() -> list:
+    """(key, nu, speed_ratio, nu_p) of the study configs, then the slow loads."""
+    draws = np.random.default_rng(SEED).uniform(LOW, HIGH, size=(CONFIGS, 3))
+    slow = np.random.default_rng(SLOW_SEED).uniform(
+        SLOW_LOW, SLOW_HIGH, size=(SLOW_CONFIGS, 3)
+    )
+    slow[:, 1] = 10.0 ** slow[:, 1]
+    return [(k, *row) for k, row in enumerate(draws.tolist())] + [
+        (f"slow {k}", *row) for k, row in enumerate(slow.tolist())
+    ]
+
+
 def outputs(src: Path) -> dict:
     """Record of every output of the tree at ``src``, keyed by (config, point)."""
     pkg = _import(src)
-    draws = np.random.default_rng(SEED).uniform(LOW, HIGH, size=(CONFIGS, 3))
     records = {}
-    for k, (nu, speed_ratio, nu_p) in enumerate(draws.tolist()):
+    for k, nu, speed_ratio, nu_p in configs():
         material = pkg.MaterialConfig(nu=nu, speed_ratio=speed_ratio, nu_p=nu_p)
         case, records[k, "solve"] = _solve(pkg, material, N)
         if case is None:
@@ -130,13 +148,16 @@ def main(argv: list[str]) -> int:
         print(f"no gradedload package under {other}", file=sys.stderr)
         return 2
     ours, theirs = outputs(SRC), outputs(other)
-    differ = [key for key in ours.keys() | theirs.keys() if ours.get(key) != theirs.get(key)]
+    keys = ours.keys() | theirs.keys()
+    differ = [key for key in keys if ours.get(key) != theirs.get(key)]
     for key in sorted(differ, key=str)[:5]:
         print(f"differs at config {key[0]}, {key[1]}:\n  {SRC}: {ours.get(key)!r:.300}\n"
               f"  {other}: {theirs.get(key)!r:.300}")
-    print(f"{len(differ)} of {len(ours.keys() | theirs.keys())} outputs differ "
-          f"({CONFIGS} configs x {len(POINTS)} points, n = {N}, and the reference "
-          f"configs at n = {N_REFERENCE}; {SRC} against {other})")
+    slow = {key for key in keys if str(key[0]).startswith("slow")}
+    print(f"{len(differ)} of {len(keys)} outputs differ, {len(slow.intersection(differ))} "
+          f"of them among the {len(slow)} slow-load records ({CONFIGS} + {SLOW_CONFIGS} "
+          f"configs x {len(POINTS)} points, n = {N}, and the reference configs at "
+          f"n = {N_REFERENCE}; {SRC} against {other})")
     return 1 if differ else 0
 
 
