@@ -32,7 +32,9 @@ the "+" ones for m = 1 and ``-J`` times them for m = 2; the "-" boundary
 values follow from the "+" ones in :func:`gradedload.fields.constants_c`.
 The system is solved by eliminating ``D_a`` and factorizing the
 ``2N x 2N`` Schur complement once for both load components; the dense
-``4N x 4N`` matrix is never formed.
+``4N x 4N`` matrix is never formed.  The Schur complement is written in
+column blocks into one Fortran-ordered array and factored there in place,
+so a solve holds K, S and one block-wide temporary.
 """
 
 from __future__ import annotations
@@ -62,8 +64,13 @@ __all__ = [
 
 # smallest |entry| of D_a and |pivot| of the Schur complement accepted
 _PIVOT_MIN = 1e-300
-# most cells a grid may have; a solve peaks at about 200 n**2 bytes (96, 192
-# and 564 MB at n = 400, 800 and 1600), so one at the cap stays under 1 GB
+# column blocks in which block_solve writes the Schur complement, holding one
+# block-wide temporary at a time; each product re-packs K, so 8 blocks cost
+# 2.5% in time at n = 400, and 2 save only half the memory
+_SCHUR_PARTS = 4
+# most cells a grid may have; tracemalloc reads a solve_case peak of about
+# 146 n**2 bytes (23.4 and 92.7 MB at n = 400 and 800), so one at the cap
+# takes about 0.6 GB
 MAX_CELLS = 2048
 
 
@@ -233,7 +240,11 @@ def block_solve(
 
     Eliminates the diagonal ``D_a``, factorizes the Schur complement
     ``S = D_b - K D_a^-1 K`` once (LAPACK ``zgetrf``, dense LU with partial
-    pivoting), and recovers ``u = D_a^-1 (rhs_a - K v)``.  One step of
+    pivoting), and recovers ``u = D_a^-1 (rhs_a - K v)``.  S is written
+    into one Fortran-ordered array in ``_SCHUR_PARTS`` column blocks,
+    ``S[:, J] = K (K[:, J] / -D_a)`` (the sign rides on the divisor, which
+    is exact), and ``zgetrf`` factors it in place, so no full product,
+    negated copy or Fortran copy of S is made.  One step of
     iterative refinement with the same factors follows.  ``rhs_a`` and ``rhs_b`` may
     hold several right-hand sides as columns.
 
@@ -246,10 +257,15 @@ def block_solve(
     da = bs.diag_a
     _require_divisors("diagonal block D_a", "entry", da)
     k = bs.k
-    schur = -(k @ (k / da[:, None]))
+    size = len(da)
+    schur = np.empty((size, size), dtype=complex, order="F")
+    step = -(-size // _SCHUR_PARTS)
+    for start in range(0, size, step):
+        cols = slice(start, start + step)
+        np.matmul(k, k[:, cols] / -da[:, None], out=schur[:, cols])
     schur[np.diag_indices_from(schur)] += bs.diag_b
     # an exactly zero pivot shows only in zgetrf's info; the gate names it
-    lu, piv, _ = zgetrf(schur)
+    lu, piv, _ = zgetrf(schur, overwrite_a=True)
     _require_divisors("Schur complement S", "pivot", np.diagonal(lu))
 
     def eliminate(ra, rb):

@@ -1,6 +1,7 @@
 """Grid construction, matrix structure, forcing, and the linear solve."""
 
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,21 @@ def test_solve_system_residuals(case50):
     # column per load component
     assert sol.f1.shape == (100, 2)
     assert sol.f2.shape == (100, 2)
+
+
+def test_solve_peak_memory():
+    # the solve writes the Schur complement in column blocks and factors it
+    # in place, so besides K and S it holds only one block-wide temporary;
+    # a full product, its negated copy or a Fortran copy of S would each
+    # add one more 2n x 2n complex matrix
+    n = 200
+    tracemalloc.start()
+    try:
+        solve_system(MaterialConfig(), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (2 * n) ** 2 * np.dtype(complex).itemsize
 
 
 def test_determinant_drift_with_n(case50, case100):

@@ -9,23 +9,28 @@ Run from the repository root::
 the ``src`` of another checkout.  The script imports the package from the
 ``src`` of the checkout it sits in and then from ``OTHER_SRC``, in one
 process with one BLAS thread, and runs both on the same seeded study
-configs at n = 100, and on a smaller seeded set of slow loads with V/c_s
-log-uniform in [1e-12, 1e-3].  Per config it records
+configs at n = 100, on a smaller seeded set of slow loads with V/c_s
+log-uniform in [1e-12, 1e-3], and on a small seeded set of study configs
+at the odd n = 75.  Per config it records
 
-- the ``solve_case`` outputs: the density stacks ``f1``/``f2`` as bytes,
-  the solve residuals, Delta, C+- and the expansion coefficients of both
-  sides of the load, or the class and message of the error it raised;
-- per query point, the ``repr`` of ``evaluate_point``'s result, or the
+- the ``solve_case`` outputs by quantity class: the density stacks
+  ``f1``/``f2``, the solve residuals, Delta, C+- and each expansion
+  coefficient of both sides of the load, or the class and message of the
+  error it raised;
+- per query point, each field of ``evaluate_point``'s result, or the
   class and message of the error it raised.
 
 It records the same ``solve_case`` outputs for the five configs of
 ``perfbench/reference.json`` at n = 400, the size at which the benchmark's
 ``solve-n400`` workload reads its solve residuals.
 
-Floats are compared through ``repr`` or raw bytes, so equal means equal to
-the bit.  It prints how many records differ, and how many of those belong
-to the slow loads, and exits 1 if any do, 2 if ``OTHER_SRC`` holds no
-package.
+Values are compared as raw bytes, so equal means equal to the bit.  It
+prints how many records differ, and how many of those belong to the slow
+loads and to the odd-n set.  When any differ, it prints per quantity class
+(the densities, the residuals, Delta, C+-, each coefficient, each point
+field) the largest relative difference, max |ours - theirs| over
+max |theirs|, and the config where it occurs.  It exits 1 if any record
+differs, 2 if ``OTHER_SRC`` holds no package.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +64,11 @@ SLOW_SEED = 1
 SLOW_CONFIGS = 64
 SLOW_LOW = (0.05, -12.0, 0.0)
 SLOW_HIGH = (0.95, -3.0, 0.45)
+# the study domain at an odd n, an A1 pin size: at n = 100 and 400 the
+# layout of the Schur complement is bit-neutral, at an odd n it need not be
+ODD_SEED = 2
+ODD_CONFIGS = 64
+N_ODD = 75
 # perfbench's MIX: surface, near, gap and deep points on both sides of xi0 = 0
 POINTS = (
     (-1.0, 0.0), (1.0, 0.0), (-0.25, 0.0), (2.0, 0.0),
@@ -85,50 +96,63 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _array(a: np.ndarray) -> tuple:
-    return a.dtype.str, a.shape, a.tobytes()
-
-
 def _solve(pkg, material, n: int):
-    """The case and the record of its solve outputs, or None and the error."""
+    """The case and the record of its solve outputs, or None and the error.
+
+    The record maps each quantity class to its values: the density stacks,
+    the residuals, Delta, C+- and each expansion coefficient of both sides.
+    """
     try:
         case = pkg.solve_case(material, n=n)
     except Exception as exc:  # an error, typed or not, is an output to compare
         return None, _error(exc)
     sol, bc = case.solution, case.constants
-    return case, (
-        _array(sol.f1), _array(sol.f2), repr(sol.residuals), repr(bc.delta_plus),
-        _array(bc.c_plus), _array(bc.c_minus),
-        repr(case.coeffs_plus), repr(case.coeffs_minus),
-    )
+    sides = (case.coeffs_plus, case.coeffs_minus)
+    return case, {
+        "densities": np.concatenate([sol.f1, sol.f2]),
+        "residuals": np.array([sol.residuals[m] for m in sorted(sol.residuals)]),
+        "Delta": np.array(bc.delta_plus),
+        "C+-": np.concatenate([bc.c_plus, bc.c_minus]),
+        **{name: np.array([getattr(side, name) for side in sides])
+           for name in ("kappa", "d0", "d2", "e1")},
+    }
+
+
+def _point(pkg, case, xi: float, y: float):
+    """Record of one point: each field of its result by name, or the error."""
+    try:
+        result = pkg.evaluate_point(case, xi, y)
+    except Exception as exc:
+        return _error(exc)
+    return {f"point {name}": value for name, value in result._asdict().items()}
 
 
 def configs() -> list:
-    """(key, nu, speed_ratio, nu_p) of the study configs, then the slow loads."""
+    """(key, n, nu, speed_ratio, nu_p) of the study configs, the slow loads
+    and the odd-n set."""
     draws = np.random.default_rng(SEED).uniform(LOW, HIGH, size=(CONFIGS, 3))
     slow = np.random.default_rng(SLOW_SEED).uniform(
         SLOW_LOW, SLOW_HIGH, size=(SLOW_CONFIGS, 3)
     )
     slow[:, 1] = 10.0 ** slow[:, 1]
-    return [(k, *row) for k, row in enumerate(draws.tolist())] + [
-        (f"slow {k}", *row) for k, row in enumerate(slow.tolist())
-    ]
+    odd = np.random.default_rng(ODD_SEED).uniform(LOW, HIGH, size=(ODD_CONFIGS, 3))
+    return (
+        [(k, N, *row) for k, row in enumerate(draws.tolist())]
+        + [(f"slow {k}", N, *row) for k, row in enumerate(slow.tolist())]
+        + [(f"odd {k}", N_ODD, *row) for k, row in enumerate(odd.tolist())]
+    )
 
 
 def outputs(src: Path) -> dict:
     """Record of every output of the tree at ``src``, keyed by (config, point)."""
     pkg = _import(src)
     records = {}
-    for k, nu, speed_ratio, nu_p in configs():
+    for k, n, nu, speed_ratio, nu_p in configs():
         material = pkg.MaterialConfig(nu=nu, speed_ratio=speed_ratio, nu_p=nu_p)
-        case, records[k, "solve"] = _solve(pkg, material, N)
-        if case is None:
-            continue
-        for xi, y in POINTS:
-            try:
-                records[k, (xi, y)] = repr(pkg.evaluate_point(case, xi, y))
-            except Exception as exc:
-                records[k, (xi, y)] = _error(exc)
+        case, records[k, "solve"] = _solve(pkg, material, n)
+        if case is not None:
+            for xi, y in POINTS:
+                records[k, (xi, y)] = _point(pkg, case, xi, y)
     for k, ref in enumerate(json.loads(REFERENCE.read_text())["configs"]):
         material = pkg.MaterialConfig(
             nu=ref["nu"], speed_ratio=ref["speed_ratio"], nu_p=ref["nu_p"]
@@ -137,6 +161,77 @@ def outputs(src: Path) -> dict:
             pkg, material, N_REFERENCE
         )[1]
     return records
+
+
+def _bits(value) -> tuple:
+    """``value`` as exact bits: dtype, shape and bytes of its array, so
+    equal means equal to the bit (0.0 differs from -0.0, NaN equals NaN),
+    or the value itself when it is no number (None, a string)."""
+    if value is None or isinstance(value, str):
+        return (value,)
+    a = np.asarray(value)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _record_bits(record):
+    """A record as exact bits, class by class, or the error string as it is."""
+    if not isinstance(record, dict):
+        return record
+    return {name: _bits(value) for name, value in record.items()}
+
+
+def _same_classes(ours, theirs) -> bool:
+    """Whether both records are solve or point records of the same classes."""
+    return isinstance(ours, dict) and isinstance(theirs, dict) and ours.keys() == theirs.keys()
+
+
+def _shown(ours, theirs) -> tuple:
+    """The two records, cut to the classes whose bits differ when both are
+    records of the same classes."""
+    if _same_classes(ours, theirs):
+        names = [name for name in ours if _bits(ours[name]) != _bits(theirs[name])]
+        return ({name: ours[name] for name in names}, {name: theirs[name] for name in names})
+    return ours, theirs
+
+
+def relative_difference(ours, theirs) -> float:
+    """Largest ``|ours - theirs|`` over the largest ``|theirs|``: 0.0 when
+    the bits agree, inf when either is no number or the shapes differ."""
+    if _bits(ours) == _bits(theirs):
+        return 0.0
+    if any(v is None or isinstance(v, str) for v in (ours, theirs)):
+        return math.inf
+    a, b = np.atleast_1d(ours), np.atleast_1d(theirs)
+    if a.shape != b.shape:
+        return math.inf
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(a - b)
+    # NaN where both are NaN is agreement, NaN anywhere else is not
+    gap[np.isnan(a) & np.isnan(b)] = 0.0
+    scale = np.abs(b).max()
+    if np.isnan(gap).any() or not np.isfinite(scale):
+        return math.inf
+    return gap.max() / scale if scale else math.inf
+
+
+def largest_differences(ours: dict, theirs: dict, keys) -> dict:
+    """Per quantity class, the largest relative difference over ``keys``
+    and the key where it occurs.  A record that is an error on either side,
+    or differently shaped, counts in the class "record" as inf."""
+    top = {}
+
+    def note(name, size, key):
+        if size > top.get(name, (0.0,))[0]:
+            top[name] = (size, key)
+
+    for key in keys:
+        a, b = ours.get(key), theirs.get(key)
+        if _same_classes(a, b):
+            for name in a:
+                note(name, relative_difference(a[name], b[name]), key)
+        else:
+            note("record", math.inf, key)
+    return top
 
 
 def main(argv: list[str]) -> int:
@@ -149,15 +244,23 @@ def main(argv: list[str]) -> int:
         return 2
     ours, theirs = outputs(SRC), outputs(other)
     keys = ours.keys() | theirs.keys()
-    differ = [key for key in keys if ours.get(key) != theirs.get(key)]
+    differ = [key for key in keys if _record_bits(ours.get(key)) != _record_bits(theirs.get(key))]
     for key in sorted(differ, key=str)[:5]:
-        print(f"differs at config {key[0]}, {key[1]}:\n  {SRC}: {ours.get(key)!r:.300}\n"
-              f"  {other}: {theirs.get(key)!r:.300}")
-    slow = {key for key in keys if str(key[0]).startswith("slow")}
-    print(f"{len(differ)} of {len(keys)} outputs differ, {len(slow.intersection(differ))} "
-          f"of them among the {len(slow)} slow-load records ({CONFIGS} + {SLOW_CONFIGS} "
-          f"configs x {len(POINTS)} points, n = {N}, and the reference configs at "
-          f"n = {N_REFERENCE}; {SRC} against {other})")
+        a, b = _shown(ours.get(key), theirs.get(key))
+        print(f"differs at config {key[0]}, {key[1]}:\n  {SRC}: {a!r:.300}\n"
+              f"  {other}: {b!r:.300}")
+    for name, (size, key) in sorted(largest_differences(ours, theirs, differ).items()):
+        print(f"  {name}: largest relative difference {size:.3g} at config {key[0]}, {key[1]}")
+    groups = {
+        group: {key for key in keys if str(key[0]).startswith(group)}
+        for group in ("slow", "odd")
+    }
+    print(f"{len(differ)} of {len(keys)} outputs differ, "
+          + ", ".join(f"{len(members.intersection(differ))} of them among the {len(members)} "
+                      f"{group} records" for group, members in groups.items())
+          + f" ({CONFIGS} + {SLOW_CONFIGS} configs x {len(POINTS)} points at n = {N}, "
+          f"{ODD_CONFIGS} at n = {N_ODD}, and the reference configs at n = {N_REFERENCE}; "
+          f"{SRC} against {other})")
     return 1 if differ else 0
 
 
