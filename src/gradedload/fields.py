@@ -196,6 +196,7 @@ def field_coeffs(
     lead = math.gamma(nu / 2.0) * 2.0 ** (nu - 1.0) / (
         np.pi ** 1.5 * math.cos(np.pi * nu / 2.0)
     )
+    b_at_1 = coeff_b(1.0, p)
 
     def side(kappa: float) -> FieldCoefficients:
         turn = np.exp(1j * np.pi * kappa * nu / 2.0)
@@ -207,7 +208,7 @@ def field_coeffs(
             d0.append(complex(d0_j))
             d2.append(complex(-nu * d0_j / (2.0 * beta_j)))
             e1.append(complex(
-                -2.0 * kappa / np.pi * coeff_b(j, 1.0, p) * math.sqrt(beta_j)
+                -2.0 * kappa / np.pi * b_at_1[j - 1] * math.sqrt(beta_j)
                 * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0) * mix[2 - j]
             ))
         sgn = -kappa  # sgn(xi - xi0) on this side

@@ -5,9 +5,9 @@ coefficient: the diagonal symbols ``G_j(s)`` (a ratio of gamma functions times
 the rational factor ``b_j(s)``), the forcing function ``f(x)`` generated by
 the point load, and the fixed-singularity kernel ``M(x, delta)`` that
 resolves the integrable endpoint singularity of the system.
-:func:`kernel_g` forms both symbols from one gamma ratio, and
-:func:`gradedload.system.block_system` takes both diagonals of the system
-from one call.
+:func:`kernel_g` forms both symbols from one gamma ratio and one
+:func:`coeff_b` pair, and :func:`gradedload.system.block_system` takes both
+diagonals of the system from one call.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ _CVZ_WEIGHTS = _cvz_weights(_CVZ_TERMS)
 _CVZ_K = np.arange(_CVZ_TERMS, dtype=float)
 
 
-def coeff_b(j: int, s, p: DerivedParams):
-    """Rational prefactor ``b_j(s)`` of the kernel symbol, j in {1, 2}.
+def coeff_b(s, p: DerivedParams):
+    """Both rational prefactors ``(b_1(s), b_2(s))`` of the kernel symbols.
 
     Real for real ``s``; accepts complex scalars or arrays.
     """
@@ -59,15 +59,11 @@ def coeff_b(j: int, s, p: DerivedParams):
     a_d2 = p.a_d**2
     nu = p.nu
     s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
-    if j == 1:
-        num = (a_d2 - a_s2) * (s - 1.0) - nu * a_s2
-        den = 2.0 * (a_d2 - 1.0) * p.beta2 ** ((1.0 - s) / 2.0) * p.beta1 ** (s / 2.0)
-    elif j == 2:
-        num = (a_d2 - a_s2) * (s - 1.0) - nu * (a_d2 - 2.0 * a_s2)
-        den = 2.0 * (a_s2 - 1.0) * p.beta1 ** ((1.0 - s) / 2.0) * p.beta2 ** (s / 2.0)
-    else:
-        raise ValueError(f"component index j must be 1 or 2, got {j}")
-    return num / den
+    num1 = (a_d2 - a_s2) * (s - 1.0) - nu * a_s2
+    den1 = 2.0 * (a_d2 - 1.0) * p.beta2 ** ((1.0 - s) / 2.0) * p.beta1 ** (s / 2.0)
+    num2 = (a_d2 - a_s2) * (s - 1.0) - nu * (a_d2 - 2.0 * a_s2)
+    den2 = 2.0 * (a_s2 - 1.0) * p.beta1 ** ((1.0 - s) / 2.0) * p.beta2 ** (s / 2.0)
+    return num1 / den1, num2 / den2
 
 
 def kernel_g(s, p: DerivedParams):
@@ -76,7 +72,8 @@ def kernel_g(s, p: DerivedParams):
     ``G_j(s) = b_j(s) * Gamma(1 - s/2) Gamma((s - nu)/2)
                / [Gamma((s + 1 - nu)/2) Gamma((3 - s)/2)]``;
     the gamma ratio is the same for j = 1 and 2, so its numerator and
-    denominator are formed once and each symbol is ``coeff_b(j, s, p) * num / den``.
+    denominator are formed once and each symbol is ``b_j * num / den``, with
+    both prefactors from one :func:`coeff_b` call.
 
     Satisfies the reflection symmetry G_j(conj(s)) = conj(G_j(s)) and grows
     like ``+-i lam_j beta**(+-s/2)`` far up/down the inversion strip.  The
@@ -90,7 +87,8 @@ def kernel_g(s, p: DerivedParams):
     nu = p.nu
     num = gamma(1.0 - s / 2.0) * gamma((s - nu) / 2.0)
     den = gamma((s + 1.0 - nu) / 2.0) * gamma((3.0 - s) / 2.0)
-    return coeff_b(1, s, p) * num / den, coeff_b(2, s, p) * num / den
+    b1, b2 = coeff_b(s, p)
+    return b1 * num / den, b2 * num / den
 
 
 def rhs_f(x, sigma: float):

@@ -34,7 +34,8 @@ The system is solved by eliminating ``D_a`` and factorizing the
 ``2N x 2N`` Schur complement once for both load components; the dense
 ``4N x 4N`` matrix is never formed.  The Schur complement is written in
 column blocks into one Fortran-ordered array and factored there in place,
-so a solve holds K, S and one block-wide temporary.
+so a solve holds K, S and one block-wide temporary; the solve is iterative
+refinement from zero, one loop of two passes that returns its residual.
 """
 
 from __future__ import annotations
@@ -149,19 +150,12 @@ class BlockSystem:
     ``diag_a`` = (D2, D1) and ``diag_b`` = (D3, D4) hold the diagonals and
     ``k`` = [[R+, S-], [S+, R-]] is the coupling block of both block rows,
     R(delta) the regular and S(delta) the singular quadrant.
-    The dense matrix itself is never formed.
+    The dense matrix is never formed; :func:`block_solve` applies A.
     """
 
     diag_a: np.ndarray
     diag_b: np.ndarray
     k: np.ndarray
-
-    def apply(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Product ``A @ [u; v]`` for column stacks u and v."""
-        return (
-            self.diag_a[:, None] * u + self.k @ v,
-            self.k @ u + self.diag_b[:, None] * v,
-        )
 
 
 def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
@@ -235,18 +229,20 @@ def _require_divisors(block: str, what: str, values: np.ndarray) -> None:
 
 def block_solve(
     bs: BlockSystem, rhs_a: np.ndarray, rhs_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``A [u; v] = [rhs_a; rhs_b]`` by elimination.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Solve ``A [u; v] = [rhs_a; rhs_b]`` by iterative refinement from zero.
 
-    Eliminates the diagonal ``D_a``, factorizes the Schur complement
+    Eliminates the diagonal ``D_a`` and factorizes the Schur complement
     ``S = D_b - K D_a^-1 K`` once (LAPACK ``zgetrf``, dense LU with partial
-    pivoting), and recovers ``u = D_a^-1 (rhs_a - K v)``.  S is written
-    into one Fortran-ordered array in ``_SCHUR_PARTS`` column blocks,
-    ``S[:, J] = K (K[:, J] / -D_a)`` (the sign rides on the divisor, which
-    is exact), and ``zgetrf`` factors it in place, so no full product,
-    negated copy or Fortran copy of S is made.  One step of
-    iterative refinement with the same factors follows.  ``rhs_a`` and ``rhs_b`` may
-    hold several right-hand sides as columns.
+    pivoting).  S is written into one Fortran-ordered array in
+    ``_SCHUR_PARTS`` column blocks, ``S[:, J] = K (K[:, J] / -D_a)`` (the
+    sign rides on the divisor, which is exact), and ``zgetrf`` factors it
+    in place, so no full product, negated copy or Fortran copy of S is made.
+    One loop of two passes with these factors follows: each solves for a
+    step from the residual ``[ra; rb]`` so far (the forcing at first), adds
+    it and ends with the residual ``[rhs_a; rhs_b] - A [u; v]`` of its
+    solution.  Returns ``(u, v, ra, rb)``, the densities and that residual;
+    ``rhs_a`` and ``rhs_b`` may hold several right-hand sides as columns.
 
     Raises
     ------
@@ -267,23 +263,23 @@ def block_solve(
     # an exactly zero pivot shows only in zgetrf's info; the gate names it
     lu, piv, _ = zgetrf(schur, overwrite_a=True)
     _require_divisors("Schur complement S", "pivot", np.diagonal(lu))
-
-    def eliminate(ra, rb):
-        v = zgetrs(lu, piv, rb - k @ (ra / da[:, None]))[0]
-        return (ra - k @ v) / da[:, None], v
-
-    u, v = eliminate(rhs_a, rhs_b)
-    au, av = bs.apply(u, v)
-    du, dv = eliminate(rhs_a - au, rhs_b - av)
-    u = u + du
-    v = v + dv
+    da, db = da[:, None], bs.diag_b[:, None]
+    # -0.0 + x is x to the bit, signed zeros too (0.0 + -0.0 is +0.0)
+    u = v = complex(-0.0, -0.0)
+    ra, rb = rhs_a, rhs_b
+    for _ in range(2):
+        dv = zgetrs(lu, piv, rb - k @ (ra / da))[0]
+        u = u + (ra - k @ dv) / da
+        v = v + dv
+        ra = rhs_a - (da * u + k @ v)
+        rb = rhs_b - (k @ u + db * v)
     for name, part in (("u", u), ("v", v)):
         bad = int(np.count_nonzero(~np.isfinite(part)))
         if bad:
             raise SingularMatrixError(
                 f"refined solution {name}: {bad} non-finite entries, need all finite"
             )
-    return u, v
+    return u, v, ra, rb
 
 
 @dataclass(frozen=True)
@@ -310,7 +306,8 @@ def solve_system(config: MaterialConfig, n: int = 100) -> SIESolution:
     """Assemble and solve the collocation system end to end.
 
     Both load components are solved at once (see :func:`block_solve`), and
-    each residual is measured against the system.
+    each residual is the max-norm of the one the solve returns over that of
+    its forcing.
 
     Returns
     -------
@@ -320,10 +317,9 @@ def solve_system(config: MaterialConfig, n: int = 100) -> SIESolution:
     d = build_grid(n, p)
     bs = block_system(d, p)
     rhs_a, rhs_b = assemble_rhs(d, p)
-    u, v = block_solve(bs, rhs_a, rhs_b)
-    au, av = bs.apply(u, v)
-    res = np.maximum(
-        np.abs(au - rhs_a).max(axis=0), np.abs(av - rhs_b).max(axis=0)
-    ) / np.maximum(np.abs(rhs_a).max(axis=0), np.abs(rhs_b).max(axis=0))
+    u, v, ra, rb = block_solve(bs, rhs_a, rhs_b)
+    res = np.maximum(np.abs(ra).max(axis=0), np.abs(rb).max(axis=0)) / np.maximum(
+        np.abs(rhs_a).max(axis=0), np.abs(rhs_b).max(axis=0)
+    )
     residuals = {m: float(res[m - 1]) for m in (1, 2)}
     return SIESolution(params=p, disc=d, f1=u, f2=v, residuals=residuals)

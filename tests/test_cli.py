@@ -36,6 +36,14 @@ def test_slow_load_exit_codes(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"ConfigError: speed_ratio = {speed} is too slow")
+    # a sweep's range passes the config's gates, but a value too slow for
+    # the solve ends the sweep the same way, with no CSV
+    argv = ["--n", "25", "--sweep", "speed", "--sweep-range", "1e-200:0.3:0.2",
+            "--xi", "-1", "--y", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ConfigError: speed_ratio = 1e-200 is too slow")
 
 
 def test_bad_sweep_range(capsys, monkeypatch):
@@ -46,6 +54,8 @@ def test_bad_sweep_range(capsys, monkeypatch):
     assert "sweep range" in capsys.readouterr().err
     assert main(["--sweep", "nu", "--sweep-range", "0.1:nan:0.1"]) == 2
     assert "ConfigError: sweep range must be finite" in capsys.readouterr().err
+    assert main(["--sweep", "nu", "--sweep-range", "0.1:0.5"]) == 2
+    assert "ConfigError: sweep range must be A:B:STEP, got '0.1:0.5'" in capsys.readouterr().err
 
 
 def test_oversized_sweep_refused(capsys, monkeypatch):
@@ -272,11 +282,19 @@ def test_config_file_exit_code(tmp_path, capsys):
     assert "ConfigError" in capsys.readouterr().err
 
 
-def test_point_broadcast_and_mismatch(capsys):
+def test_point_broadcast_and_mismatch(tmp_path, capsys):
     argv = ["--n", "25", "--xi", "-1", "--y", "0", "--y", "0.3", "--y", "0.5"]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.count("point xi=-1") == 3
+    # a config file gives a list as comma-separated values
+    cfg = tmp_path / "points.cfg"
+    cfg.write_text("xi = -1, 1\ny = 0.3\nn = 25\n")
+    assert parse_config_file(str(cfg)) == {"xi": [-1.0, 1.0], "y": [0.3], "n": 25}
+    assert main(["--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "point xi=-1 y=0.3 eta=0.3 [near]" in out
+    assert "point xi=1 y=0.3 eta=0.3 [near]" in out
 
     argv = ["--xi", "-1", "--xi", "-2", "--y", "0", "--y", "0.1", "--y", "0.2"]
     assert main(argv) == 2
@@ -290,6 +308,15 @@ def test_numerical_gate_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_case", explode)
     assert main(["--n", "25"]) == 3
     assert "RealnessError" in capsys.readouterr().err
+    # a sweep writes a row per failed value, and exits 3 when every value
+    # failed a gate
+    argv = ["--n", "25", "--sweep", "nu", "--sweep-range", "0.5:0.7:0.2",
+            "--speed-ratio", "0.9", "--nu-p", "0.4", "--xi", "-1", "--y", "0"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["RealnessError", "RealnessError"]
+    assert captured.err == "every sweep value failed a numerical gate\n"
 
 
 @pytest.mark.skipif(

@@ -410,6 +410,11 @@ def test_sweep_speed_increasing():
     assert all(a < b for a, b in zip(u2, u2[1:]))
 
 
+def test_run_sweep_needs_a_sweep():
+    with pytest.raises(ConfigError, match="^run_sweep called without a sweep parameter$"):
+        run_sweep(RunConfig())
+
+
 def test_sweep_empty_range():
     rc = RunConfig(sweep="nu", sweep_range=(0.5, 0.1, 0.1))
     header, rows = run_sweep(rc)

@@ -64,23 +64,20 @@ def p03():
 
 
 def test_coeff_b_frozen(p03):
-    assert coeff_b(1, 1.0, p03) == pytest.approx(B1_AT_1, rel=1e-12)
-    assert coeff_b(2, 1.0, p03) == pytest.approx(B2_AT_1, rel=1e-12)
-    assert coeff_b(1, 0.3, p03) == pytest.approx(B1_AT_NU, rel=1e-12)
-    assert coeff_b(2, 0.3, p03) == pytest.approx(B2_AT_NU, rel=1e-12)
+    b1, b2 = coeff_b(1.0, p03)
+    assert b1 == pytest.approx(B1_AT_1, rel=1e-12)
+    assert b2 == pytest.approx(B2_AT_1, rel=1e-12)
+    b1, b2 = coeff_b(0.3, p03)
+    assert b1 == pytest.approx(B1_AT_NU, rel=1e-12)
+    assert b2 == pytest.approx(B2_AT_NU, rel=1e-12)
 
 
 def test_coeff_b_schwarz(p01):
     for j in (1, 2):
         for s in (0.2 + 0.9j, 0.025 + 3.3j, 0.7 - 2.1j):
-            assert coeff_b(j, np.conj(s), p01) == pytest.approx(
-                np.conj(coeff_b(j, s, p01)), rel=1e-14
+            assert coeff_b(np.conj(s), p01)[j - 1] == pytest.approx(
+                np.conj(coeff_b(s, p01)[j - 1]), rel=1e-14
             )
-
-
-def test_coeff_b_bad_component(p01):
-    with pytest.raises(ValueError):
-        coeff_b(3, 1.0, p01)
 
 
 def test_kernel_g_frozen_spots(p01):
@@ -104,7 +101,7 @@ def test_kernel_g_schwarz(p01):
 
 
 def test_kernel_g_is_the_shared_gamma_ratio(p01):
-    # bit for bit, G_j is coeff_b times the written gamma products; the
+    # bit for bit, G_j is b_j times the written gamma products; the
     # ratio does not depend on j, which lets kernel_g form it once for both
     # symbols and block_system take both diagonals from one call
     nu = p01.nu
@@ -114,9 +111,8 @@ def test_kernel_g_is_the_shared_gamma_ratio(p01):
     for s in (args, np.conj(args), np.concatenate([args, np.conj(args)]), 0.025 + 1j):
         num = gamma(1.0 - s / 2.0) * gamma((s - nu) / 2.0)
         den = gamma((s + 1.0 - nu) / 2.0) * gamma((3.0 - s) / 2.0)
-        for j, g in zip((1, 2), kernel_g(s, p01)):
-            assert np.asarray(g).tobytes() == np.asarray(
-                coeff_b(j, s, p01) * num / den).tobytes()
+        for g, b in zip(kernel_g(s, p01), coeff_b(s, p01)):
+            assert np.asarray(g).tobytes() == np.asarray(b * num / den).tobytes()
 
 
 def test_kernel_g_gamma_arguments_clear_the_poles(monkeypatch):

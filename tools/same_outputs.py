@@ -26,10 +26,10 @@ It records the same ``solve_case`` outputs for the five configs of
 
 Values are compared as raw bytes, so equal means equal to the bit.  It
 prints how many records differ, and how many of those belong to the slow
-loads and to the odd-n set.  When any differ, it prints per quantity class
-(the densities, the residuals, Delta, C+-, each coefficient, each point
-field) the largest relative difference, max |ours - theirs| over
-max |theirs|, and the config where it occurs.  It exits 1 if any record
+loads, to the odd-n set and to the reference configs at n = 400.  When any
+differ, it prints per quantity class (the densities, the residuals, Delta,
+C+-, each coefficient, each point field) the largest relative difference,
+max |ours - theirs| over max |theirs|, and the config where it occurs.  It exits 1 if any record
 differs, 2 if ``OTHER_SRC`` holds no package.
 """
 
@@ -253,7 +253,7 @@ def main(argv: list[str]) -> int:
         print(f"  {name}: largest relative difference {size:.3g} at config {key[0]}, {key[1]}")
     groups = {
         group: {key for key in keys if str(key[0]).startswith(group)}
-        for group in ("slow", "odd")
+        for group in ("slow", "odd", "reference")
     }
     print(f"{len(differ)} of {len(keys)} outputs differ, "
           + ", ".join(f"{len(members.intersection(differ))} of them among the {len(members)} "
