@@ -176,7 +176,7 @@ def solve_case(material: MaterialConfig, n: int = 100) -> CaseSolution:
     p = solution.params
     phi = boundary_phi(solution)
     constants = constants_c(phi, material, p)
-    coeffs_plus, coeffs_minus = field_coeffs(constants, p)
+    coeffs_plus, coeffs_minus = field_coeffs(constants, material, p)
     return CaseSolution(
         config=material,
         params=p,

@@ -24,6 +24,7 @@ out.  A residue above the sanity bound aborts with ``RealnessError``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -99,18 +100,26 @@ def boundary_phi(sol: SIESolution) -> np.ndarray:
     return phi - np.eye(2) / math.cos(np.pi * nu / 2.0)
 
 
+def _require_finite(config: MaterialConfig, what: str, values) -> None:
+    """Refuse non-finite ``values``: only loads near the float limit leave one."""
+    if not all(cmath.isfinite(v) for v in values):
+        raise ConfigError(
+            f"loads h1 = {config.h1}, h2 = {config.h2} are too large: {what} are not finite"
+        )
+
+
 @dataclass(frozen=True)
 class BoundaryConstants:
-    """Boundary functionals of both sign variants with their load constants.
+    """Determinants and load constants of both sign variants.
 
-    ``phi`` is the solved "+" matrix ``Phi_+``, indexed by (j - 1, m - 1);
-    the "-" matrix ``Phi_- = J Phi_+ J`` is not stored.  Their determinants
-    are equal, ``delta_minus == delta_plus``.
+    The boundary values themselves are not stored: the "+" matrix
+    ``Phi_+`` is :func:`boundary_phi` of the solution, and the "-" matrix is
+    ``Phi_- = J Phi_+ J``.  Their determinants are equal,
+    ``delta_minus == delta_plus``.
     ``c_plus``/``c_minus`` hold (C_1, C_2) for the two variants; each pair
     solves the 2x2 system  Phi_j^(1) C_1 + Phi_j^(2) C_2 = gamma_j H_j.
     """
 
-    phi: np.ndarray
     delta_plus: complex
     delta_minus: complex
     c_plus: np.ndarray
@@ -133,6 +142,8 @@ def constants_c(
     ------
     DegenerateDeterminantError
         If the determinant has modulus below 1e-8.
+    ConfigError
+        If a load constant is not finite, which only loads near 1e308 cause.
     """
     delta = complex(phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0])
     if abs(delta) < _DELTA_FLOOR:
@@ -148,13 +159,10 @@ def constants_c(
             (g2h2 * phi[0, 0] - sign * g1h1 * phi[1, 0]) / delta,
         ])
 
-    return BoundaryConstants(
-        phi=phi,
-        delta_plus=delta,
-        delta_minus=delta,
-        c_plus=cramer(1.0),
-        c_minus=cramer(-1.0),
-    )
+    with np.errstate(all="ignore"):  # the gate below reports an overflow
+        c_plus, c_minus = cramer(1.0), cramer(-1.0)
+    _require_finite(config, "the load constants C+-", (*c_plus, *c_minus))
+    return BoundaryConstants(delta_plus=delta, delta_minus=delta, c_plus=c_plus, c_minus=c_minus)
 
 
 @dataclass(frozen=True)
@@ -184,12 +192,13 @@ class FieldCoefficients:
 
 
 def field_coeffs(
-    bc: BoundaryConstants, p: DerivedParams
+    bc: BoundaryConstants, config: MaterialConfig, p: DerivedParams
 ) -> tuple[FieldCoefficients, FieldCoefficients]:
     """Expansion coefficients of both sides of the load, ``(plus, minus)``.
 
     ``plus`` belongs to the side xi < xi0, ``kappa = sgn(xi0 - xi) = +1``,
-    and ``minus`` to the side xi > xi0, kappa = -1.
+    and ``minus`` to the side xi > xi0, kappa = -1.  A coefficient that
+    is not finite, which only loads near 1e308 cause, is a ConfigError.
     """
     nu = p.nu
     lam0 = p.cd2_cs2 - 2.0  # lam0/mu0 from (lam0 + 2 mu0)/mu0
@@ -222,9 +231,12 @@ def field_coeffs(
             -lam0 * nu * sgn * d0[0], p.cd2_cs2 * 2.0 * d2[1], lam0 * (nu + 2.0) * sgn * d2[0],
             *e1,
         )
+        # the plan holds d0, d2 and e1 themselves, so one gate covers all
+        _require_finite(config, "the expansion coefficients", plan)
         return FieldCoefficients(kappa=kappa, d0=tuple(d0), d2=tuple(d2), e1=tuple(e1), plan=plan)
 
-    return side(1.0), side(-1.0)
+    with np.errstate(all="ignore"):  # the gate in side() reports an overflow
+        return side(1.0), side(-1.0)
 
 
 class FieldResult(NamedTuple):
@@ -262,14 +274,15 @@ def _project(a: complex, b: complex) -> tuple[float, float, float]:
 
     The scale is ``max(abs(a), abs(b))`` and the residue
     ``max(abs(a.imag), abs(b.imag)) / scale``, written as comparisons that
-    keep ``max``'s choice on ties and NaN: the second value wins only if
-    it compares greater.
+    keep ``max``'s choice on ties: the second value wins only if it
+    compares greater.  A NaN in either value, which no comparison lets
+    win, is refused like an infinite one.
     """
     scale = abs(a)
     other = abs(b)
     if other > scale:
         scale = other
-    if not math.isfinite(scale):
+    if not math.isfinite(scale) or other != other:
         raise OverflowError("field value is not finite")
     if scale == 0.0:
         return 0.0, 0.0, 0.0

@@ -5,9 +5,9 @@ The half-plane has Lame coefficients and density growing with depth like
 constant subsonic speed ``V < c_s``.  Shear modulus at unit depth is the
 stress unit, ``mu0 = 1``, so it appears in no formula.  Everything
 downstream (kernels, collocation system, field expansions) is parameterised
-by the quantities computed here: scaled slownesses, the kernel amplitudes
-``lam1, lam2``, and the oscillation exponents ``delta_j^+-`` that absorb the
-``x**(+-i*eps)`` behaviour of the kernel near the fixed singularity.
+by the quantities computed here: scaled slownesses, the speed factors
+``beta1, beta2``, and the oscillation exponents ``delta_j^+-`` that absorb
+the ``x**(+-i*eps)`` behaviour of the kernel near the fixed singularity.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ class DerivedParams:
 
     ``a_s = c_s/V`` and ``a_d = c_d/V`` are the inverse Mach numbers of the
     shear and pressure waves; ``beta1, beta2`` the positive-definite speed
-    factors of the two wave operators; ``beta = beta2/beta1`` controls the
-    kernel oscillation rate ``eps``.  ``r`` and ``l`` solve the exponent
+    factors of the two wave operators, whose ratio sets the kernel
+    oscillation rate ``eps``.  The shift ``l`` solves the exponent
     matching conditions; ``delta1_minus``, ``delta1_plus`` are the
     oscillation exponents of both solution families, which the second
     family takes crosswise (see :mod:`gradedload.system`).  ``gamma1,
@@ -133,11 +133,7 @@ class DerivedParams:
     a_d: float
     beta1: float
     beta2: float
-    beta: float
     eps: float
-    lam1: float
-    lam2: float
-    r_param: float
     l_param: float
     delta1_minus: float
     delta1_plus: float
@@ -146,8 +142,8 @@ class DerivedParams:
     cd2_cs2: float
 
 
-def _oscillation_shift(beta: float, lam1: float, lam2: float) -> tuple[float, float]:
-    """Solve the exponent matching conditions for (r, l), ``cosh(2 pi l) = r``.
+def _oscillation_shift(beta: float, lam1: float, lam2: float) -> float:
+    """The shift l >= 0 of the exponent matching conditions, ``cosh(2 pi l) = r``.
 
     cosh(pi*eps) is evaluated as (sqrt(beta) + 1/sqrt(beta))/2 to avoid an
     exp/log round trip, and l through log1p to keep accuracy when r is
@@ -165,8 +161,7 @@ def _oscillation_shift(beta: float, lam1: float, lam2: float) -> tuple[float, fl
     cosh_pi_eps = (sqrt_beta + 1.0 / sqrt_beta) / 2.0
     r = cosh_pi_eps - lam1 * lam2 / 2.0
     rm1 = max(r - 1.0, 0.0)
-    l = math.log1p(rm1 + math.sqrt(rm1 * (r + 1.0))) / (2.0 * math.pi)
-    return r, l
+    return math.log1p(rm1 + math.sqrt(rm1 * (r + 1.0))) / (2.0 * math.pi)
 
 
 def _too_slow(config: MaterialConfig, what: str) -> ConfigError:
@@ -215,7 +210,7 @@ def derive_params(config: MaterialConfig) -> DerivedParams:
     lam2 = (a_d2 - a_s2) / ((a_s2 - 1.0) * math.sqrt(beta1))
     if not lam1 > 0.0:
         raise _too_slow(config, f"the kernel amplitude lam1 = {lam1} is not positive")
-    r, l = _oscillation_shift(beta, lam1, lam2)
+    l = _oscillation_shift(beta, lam1, lam2)
     delta1_minus = eps / 2.0 + l
     delta1_plus = -eps / 2.0 + l
     sigma = SIGMA_FRACTION * nu
@@ -229,11 +224,7 @@ def derive_params(config: MaterialConfig) -> DerivedParams:
         a_d=a_d,
         beta1=beta1,
         beta2=beta2,
-        beta=beta,
         eps=eps,
-        lam1=lam1,
-        lam2=lam2,
-        r_param=r,
         l_param=l,
         delta1_minus=delta1_minus,
         delta1_plus=delta1_plus,

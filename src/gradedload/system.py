@@ -18,7 +18,8 @@ pairing ``delta2^- = delta1^+``, ``delta2^+ = delta1^-`` both density stacks
 carry the exponents ``[delta1^+; delta1^-]``, so both coupling blocks are
 one matrix K and ``A = [[D_a, K], [K, D_b]]`` with diagonal ``D_a``, ``D_b``,
 which divide by the symbols ``G_2`` and ``G_1`` of one
-:func:`~gradedload.kernels.kernel_g` call.  The grid stacks the cell
+:func:`~gradedload.kernels.kernel_g` call; :func:`block_system` returns the
+three arrays ``(diag_a, diag_b, k)``.  The grid stacks the cell
 weights ``w`` and the kernel heads M(x_k, delta) in the same order, and
 ``K = K_X diag(w)`` plus two head columns: K_X is one real grid kernel,
 regular 1/(1 + y x) on its diagonal quadrants and singular 1/(y + x) off
@@ -56,7 +57,6 @@ __all__ = [
     "cell_count",
     "build_grid",
     "step_weights",
-    "BlockSystem",
     "block_system",
     "assemble_rhs",
     "block_solve",
@@ -143,23 +143,9 @@ def build_grid(n: int, p: DerivedParams) -> Discretization:
     )
 
 
-@dataclass(frozen=True)
-class BlockSystem:
-    """The collocation matrix ``A = [[D_a, K], [K, D_b]]`` in blocks.
-
-    ``diag_a`` = (D2, D1) and ``diag_b`` = (D3, D4) hold the diagonals and
-    ``k`` = [[R+, S-], [S+, R-]] is the coupling block of both block rows,
-    R(delta) the regular and S(delta) the singular quadrant.
-    The dense matrix is never formed; :func:`block_solve` applies A.
-    """
-
-    diag_a: np.ndarray
-    diag_b: np.ndarray
-    k: np.ndarray
-
-
-def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
-    """Collocation blocks of the system (see the module docstring).
+def block_system(d: Discretization, p: DerivedParams) -> tuple[np.ndarray, ...]:
+    """Collocation blocks ``(diag_a, diag_b, k)``, as :func:`block_solve`
+    takes them (see the module docstring).
 
     The arguments of ``diag_b`` are those of ``diag_a`` with their halves
     swapped, so both come from one :func:`~gradedload.kernels.kernel_g`
@@ -194,7 +180,7 @@ def block_system(d: Discretization, p: DerivedParams) -> BlockSystem:
     np.divide(w_plus, kernel, out=k[n:, :n])
     k[n:, 0] = d.heads[:n] - k[n:, 1:n].sum(axis=1)
     k[:n, n] = d.heads[n:] - k[:n, n + 1:].sum(axis=1)
-    return BlockSystem(diag_a=diag_a, diag_b=diag_b, k=k)
+    return diag_a, diag_b, k
 
 
 def assemble_rhs(d: Discretization, p: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
@@ -228,9 +214,14 @@ def _require_divisors(block: str, what: str, values: np.ndarray) -> None:
 
 
 def block_solve(
-    bs: BlockSystem, rhs_a: np.ndarray, rhs_b: np.ndarray
+    diag_a: np.ndarray, diag_b: np.ndarray, k: np.ndarray,
+    rhs_a: np.ndarray, rhs_b: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve ``A [u; v] = [rhs_a; rhs_b]`` by iterative refinement from zero.
+
+    ``A = [[D_a, K], [K, D_b]]`` comes in blocks, never formed densely:
+    the diagonals ``diag_a`` = (D2, D1) and ``diag_b`` = (D3, D4), and the
+    coupling block ``k`` = [[R+, S-], [S+, R-]] of both block rows.
 
     Eliminates the diagonal ``D_a`` and factorizes the Schur complement
     ``S = D_b - K D_a^-1 K`` once (LAPACK ``zgetrf``, dense LU with partial
@@ -250,20 +241,18 @@ def block_solve(
         If an entry of ``D_a`` or a pivot of S is zero or not finite, or
         the refined solution is not finite.
     """
-    da = bs.diag_a
-    _require_divisors("diagonal block D_a", "entry", da)
-    k = bs.k
-    size = len(da)
+    _require_divisors("diagonal block D_a", "entry", diag_a)
+    size = len(diag_a)
     schur = np.empty((size, size), dtype=complex, order="F")
     step = -(-size // _SCHUR_PARTS)
     for start in range(0, size, step):
         cols = slice(start, start + step)
-        np.matmul(k, k[:, cols] / -da[:, None], out=schur[:, cols])
-    schur[np.diag_indices_from(schur)] += bs.diag_b
+        np.matmul(k, k[:, cols] / -diag_a[:, None], out=schur[:, cols])
+    schur[np.diag_indices_from(schur)] += diag_b
     # an exactly zero pivot shows only in zgetrf's info; the gate names it
     lu, piv, _ = zgetrf(schur, overwrite_a=True)
     _require_divisors("Schur complement S", "pivot", np.diagonal(lu))
-    da, db = da[:, None], bs.diag_b[:, None]
+    da, db = diag_a[:, None], diag_b[:, None]
     # -0.0 + x is x to the bit, signed zeros too (0.0 + -0.0 is +0.0)
     u = v = complex(-0.0, -0.0)
     ra, rb = rhs_a, rhs_b
@@ -315,9 +304,9 @@ def solve_system(config: MaterialConfig, n: int = 100) -> SIESolution:
     """
     p = derive_params(config)
     d = build_grid(n, p)
-    bs = block_system(d, p)
+    diag_a, diag_b, k = block_system(d, p)
     rhs_a, rhs_b = assemble_rhs(d, p)
-    u, v, ra, rb = block_solve(bs, rhs_a, rhs_b)
+    u, v, ra, rb = block_solve(diag_a, diag_b, k, rhs_a, rhs_b)
     res = np.maximum(np.abs(ra).max(axis=0), np.abs(rb).max(axis=0)) / np.maximum(
         np.abs(rhs_a).max(axis=0), np.abs(rhs_b).max(axis=0)
     )

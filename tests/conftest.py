@@ -73,6 +73,37 @@ def params_default(case100):
     return case100.params
 
 
+def wave_factors(p) -> tuple[float, float, float, float]:
+    """``(beta, lam1, lam2, r)`` from the paper's formulas in the exported
+    slownesses ``a_s``, ``a_d`` and speed factors ``beta1``, ``beta2``.
+
+    ``beta = beta2/beta1`` sets the kernel oscillation rate, ``lam1`` and
+    ``lam2`` are the kernel amplitudes, and ``r`` is the closed form of
+    ``cosh(2 pi l)`` in the slownesses alone.
+    """
+    as2, ad2 = p.a_s**2, p.a_d**2
+    lam1 = (ad2 - as2) / ((ad2 - 1.0) * math.sqrt(p.beta2))
+    lam2 = (ad2 - as2) / ((as2 - 1.0) * math.sqrt(p.beta1))
+    r = (2.0 * ad2 * as2 - ad2 - as2) / (
+        2.0 * p.a_d * p.a_s * math.sqrt((ad2 - 1.0) * (as2 - 1.0))
+    )
+    return p.beta2 / p.beta1, lam1, lam2, r
+
+
+def exact_exponents(nu_p: float, speed: float) -> tuple[float, float, float]:
+    """``(l, delta1_plus, delta1_minus)`` in closed form.
+
+    With ``v = (V/c_s)**2``, ``k = (c_d/c_s)**2`` and
+    ``X = (k - v)/(k (1 - v))``, ``cosh(2 pi l) = (sqrt(X) + 1/sqrt(X))/2``,
+    so ``l = log(X)/(4 pi)``, written through log1p; ``delta1^+ = -ln k/(2 pi)``
+    at every speed and ``delta1^- = ln((k - v)/(1 - v))/(2 pi)``.
+    """
+    k = 2.0 * (1.0 - nu_p) / (1.0 - 2.0 * nu_p)
+    v = speed * speed
+    l = math.log1p((k - 1.0) * v / (k * (1.0 - v))) / (4.0 * math.pi)
+    return l, -math.log(k) / (2.0 * math.pi), math.log((k - v) / (1.0 - v)) / (2.0 * math.pi)
+
+
 def solver_order(n: int) -> np.ndarray:
     """Indices that take the paper's 4N layout to the solver's.
 

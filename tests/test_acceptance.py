@@ -27,9 +27,11 @@ import gradedload.system
 from conftest import (
     ACCEPTANCE_LINES,
     cached_case,
+    exact_exponents,
     half_offset_case,
     minus_variant_phi,
     solver_order,
+    wave_factors,
 )
 from gradedload import (
     MaterialConfig,
@@ -38,6 +40,7 @@ from gradedload import (
     run_sweep,
     solve_case,
 )
+from gradedload.fields import boundary_phi
 from gradedload.kernels import kernel_g, mellin_m
 from gradedload.params import derive_params
 
@@ -117,7 +120,7 @@ def test_a3a_exact_symmetry_relations():
         delta_m = np.linalg.det(phi_m)
         loads = np.array([p.gamma1 * case.config.h1, p.gamma2 * case.config.h2])
         c_minus = np.linalg.solve(phi_m, loads)
-        derived = j[:, None] * bc.phi * j[None, :]
+        derived = j[:, None] * boundary_phi(case.solution) * j[None, :]
         worst_phi = max(worst_phi, np.abs(derived - phi_m).max() / np.abs(phi_m).max())
         worst_det = max(worst_det, abs(bc.delta_minus - delta_m) / abs(delta_m))
         worst_c = max(
@@ -235,7 +238,7 @@ def test_a4_odd_coefficient_suppression():
     # the dense solve of A_- instead (the A3a oracle)
     case = cached_case(n=100)
     bc = case.constants
-    plus = bc.phi @ bc.c_plus
+    plus = boundary_phi(case.solution) @ bc.c_plus
     minus = minus_variant_phi(case) @ bc.c_minus
     worst = np.linalg.norm(plus - minus) / np.linalg.norm(plus)
     _criterion(
@@ -364,10 +367,11 @@ def test_a7_kernel_value_oracles():
     spot = abs(complex(direct) - mellin_m(0.5, p.delta1_minus))
 
     worst_asym = 0.0
-    for j, lam, expo in ((1, p.lam1, 0.5), (2, p.lam2, -0.5)):
+    beta, lam1, lam2, _ = wave_factors(p)
+    for j, lam, expo in ((1, lam1, 0.5), (2, lam2, -0.5)):
         for tau, unit in ((40.0, 1j), (-40.0, -1j)):
             s = p.sigma + 1j * tau
-            ref = unit * lam * p.beta ** (expo * s)
+            ref = unit * lam * beta ** (expo * s)
             worst_asym = max(worst_asym, abs(kernel_g(s, p)[j - 1] / ref - 1.0))
 
     ok = (
@@ -387,35 +391,29 @@ def test_a7_kernel_value_oracles():
     )
 
 
-def _closed_form_r(p) -> float:
-    ad2, as2 = p.a_d**2, p.a_s**2
-    return (2.0 * ad2 * as2 - ad2 - as2) / (
-        2.0 * p.a_d * p.a_s * math.sqrt((ad2 - 1.0) * (as2 - 1.0))
-    )
-
-
 def test_a8_oscillation_exponent_identities():
+    # the program's eps, l and delta1+- against beta, lam1, lam2 and r from
+    # the paper's formulas (conftest.wave_factors), and the delta1+- against
+    # their closed forms in v = (V/c_s)**2 and k = (c_d/c_s)**2
     worst = 0.0
     count = 0
     for nu_p in (0.0, 0.1, 0.2, 0.3, 0.4, 0.45):
         for speed in (0.05, 0.25, 0.45, 0.65, 0.85, 0.95):
             p = derive_params(MaterialConfig(nu_p=nu_p, speed_ratio=speed))
             count += 1
+            beta, lam1, lam2, r = wave_factors(p)
+            _, plus, minus = exact_exponents(nu_p, speed)
+            sinh_prod = math.sinh(math.pi * p.delta1_minus) * math.sinh(math.pi * p.delta1_plus)
             checks = (
-                abs(p.beta - p.beta2 / p.beta1) / p.beta,
-                abs(math.exp(2.0 * math.pi * p.eps) - p.beta) / p.beta,
+                abs(math.exp(2.0 * math.pi * p.eps) - beta) / beta,
                 abs((p.delta1_minus - p.delta1_plus) - p.eps) / abs(p.eps),
-                abs(math.cosh(2.0 * math.pi * p.l_param) - p.r_param) / p.r_param,
-                abs(
-                    (math.sqrt(p.beta) + 1.0 / math.sqrt(p.beta)) / 2.0
-                    - p.lam1 * p.lam2 / 2.0
-                    - p.r_param
-                )
-                / p.r_param,
-                abs(_closed_form_r(p) - p.r_param) / p.r_param,
+                abs(math.cosh(2.0 * math.pi * p.l_param) - r) / r,
+                abs(lam1 * lam2 / (4.0 * sinh_prod) + 1.0),
+                abs(p.delta1_plus - plus) / abs(plus),
+                abs(p.delta1_minus - minus) / abs(minus),
             )
             worst = max(worst, max(checks))
-            assert p.r_param > 1.0
+            assert p.l_param > 0.0
     _criterion(
         "A8 oscillation-exponent identities across the subsonic range",
         worst <= 1e-10,

@@ -1,6 +1,7 @@
 """Command-line interface: flags, config files, exit codes, output."""
 
 import pathlib
+import re
 import shutil
 import subprocess
 
@@ -166,6 +167,24 @@ def test_unrepresentable_point_exit_code(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("SingularPointError: eta at |xi - xi0| = 1.000e-300")
+
+
+def test_overflowing_load_exit_code(capsys):
+    # loads near the float limit overflow the expansion coefficients; the
+    # case is refused by its loads (exit 2) whatever the query point, with
+    # no NaN field printed and no numpy warning
+    for points in ([], ["--xi", "-1", "--y", "0.3"]):
+        for h in ("1e308", "-1e308"):
+            assert main([f"--h1={h}", f"--h2={h}", *points]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"ConfigError: loads h1 = {float(h)}, h2 = {float(h)} are too large: "
+                "the expansion coefficients are not finite\n"
+            )
+    # a load a little smaller still solves, with every field finite
+    assert main(["--h1", "3e307", "--h2", "3e307", "--xi", "-1", "--y", "0.3"]) == 0
+    assert re.search(r"\b(nan|inf)\b", capsys.readouterr().out) is None
 
 
 def test_underflowing_strip_offset_exit_code(capsys):

@@ -67,8 +67,8 @@ def test_coefficients_built_once_per_case(monkeypatch):
     built = []
     real_field_coeffs = driver.field_coeffs
 
-    def counted(bc, p):
-        built.append(real_field_coeffs(bc, p))
+    def counted(bc, config, p):
+        built.append(real_field_coeffs(bc, config, p))
         return built[-1]
 
     monkeypatch.setattr(driver, "field_coeffs", counted)

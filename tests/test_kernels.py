@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import gradedload.kernels as kernels
+from conftest import wave_factors
 from gradedload import MaterialConfig
 from gradedload.kernels import coeff_b, kernel_g, mellin_m, rhs_f
 from gradedload.params import derive_params
@@ -150,16 +151,16 @@ def test_kernel_g_asymptotes(p01):
     # and -i in the lower (conjugate) half
     sigma = p01.sigma
     tau = 40.0
-    lams = (p01.lam1, p01.lam2)
+    beta, *lams, _ = wave_factors(p01)
     expos = (0.5, -0.5)
     for j in (1, 2):
         lam = lams[j - 1]
         expo = expos[j - 1]
         s_up = sigma + 1j * tau
-        ref_up = 1j * lam * p01.beta ** (expo * s_up)
+        ref_up = 1j * lam * beta ** (expo * s_up)
         assert abs(kernel_g(s_up, p01)[j - 1] / ref_up - 1.0) <= 0.05
         s_down = sigma - 1j * tau
-        ref_down = -1j * lam * p01.beta ** (expo * s_down)
+        ref_down = -1j * lam * beta ** (expo * s_down)
         assert abs(kernel_g(s_down, p01)[j - 1] / ref_down - 1.0) <= 0.05
 
 

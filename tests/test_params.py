@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import exact_exponents, wave_factors
 from gradedload import ConfigError, MaterialConfig, SubsonicViolation
 from gradedload.params import SIGMA_FRACTION, _oscillation_shift, derive_params
 
@@ -32,14 +33,6 @@ GAMMA1 = 0.5252160074647911
 GAMMA2 = 0.4695293221563696
 
 
-def closed_form_r(a_d: float, a_s: float) -> float:
-    # independent oracle: r in terms of the slownesses alone
-    ad2, as2 = a_d * a_d, a_s * a_s
-    return (2.0 * ad2 * as2 - ad2 - as2) / (
-        2.0 * a_d * a_s * math.sqrt((ad2 - 1.0) * (as2 - 1.0))
-    )
-
-
 def test_default_kinematics(params_default):
     p = params_default
     assert p.cd2_cs2 == pytest.approx(3.5, rel=1e-15)
@@ -47,15 +40,20 @@ def test_default_kinematics(params_default):
     assert p.a_d**2 == pytest.approx(87.5, rel=1e-14)
     assert p.beta1 == pytest.approx(BETA1, rel=1e-14)
     assert p.beta2 == pytest.approx(BETA2, rel=1e-14)
-    assert p.beta == pytest.approx(BETA, rel=1e-14)
     assert p.eps == pytest.approx(EPS, rel=1e-14)
-    assert p.lam1 == pytest.approx(LAM1, rel=1e-14)
-    assert p.lam2 == pytest.approx(LAM2, rel=1e-14)
+    # the oscillation rate from the paper's beta, and the kernel amplitudes
+    # that derive_params forms but does not store
+    beta, lam1, lam2, _ = wave_factors(p)
+    assert beta == pytest.approx(BETA, rel=1e-14)
+    assert p.eps == pytest.approx(math.log(beta) / (2.0 * math.pi), rel=1e-14)
+    assert lam1 == pytest.approx(LAM1, rel=1e-14)
+    assert lam2 == pytest.approx(LAM2, rel=1e-14)
 
 
 def test_oscillation_exponents(params_default):
     p = params_default
-    assert p.r_param == pytest.approx(R_PARAM, rel=1e-14)
+    assert wave_factors(p)[3] == pytest.approx(R_PARAM, rel=1e-14)
+    assert math.cosh(2.0 * math.pi * p.l_param) == pytest.approx(R_PARAM, rel=1e-14)
     assert p.l_param == pytest.approx(L_PARAM, rel=1e-12)
     assert p.delta1_minus == pytest.approx(DELTA1_MINUS, rel=1e-13)
     assert p.delta1_plus == pytest.approx(DELTA1_PLUS, rel=1e-13)
@@ -68,15 +66,16 @@ def test_exponent_differences(params_default):
 
 def test_sinh_cancellation(params_default):
     p = params_default
+    beta, lam1, lam2, r = wave_factors(p)
     prod = math.sinh(math.pi * p.delta1_minus) * math.sinh(math.pi * p.delta1_plus)
-    assert abs(p.lam1 * p.lam2 / (4.0 * prod) + 1.0) <= 1e-12
+    assert abs(lam1 * lam2 / (4.0 * prod) + 1.0) <= 1e-12
     # triple equality with the cosh form
-    cosh_pi_eps = (math.sqrt(p.beta) + 1.0 / math.sqrt(p.beta)) / 2.0
+    cosh_pi_eps = (math.sqrt(beta) + 1.0 / math.sqrt(beta)) / 2.0
     lhs = math.sinh(math.pi * (p.l_param + p.eps / 2.0)) * math.sinh(
         math.pi * (p.l_param - p.eps / 2.0)
     )
-    assert lhs == pytest.approx((p.r_param - cosh_pi_eps) / 2.0, rel=1e-10)
-    assert lhs == pytest.approx(-p.lam1 * p.lam2 / 4.0, rel=1e-10)
+    assert lhs == pytest.approx((r - cosh_pi_eps) / 2.0, rel=1e-10)
+    assert lhs == pytest.approx(-lam1 * lam2 / 4.0, rel=1e-10)
 
 
 def test_gamma_amplitudes(params_default):
@@ -169,23 +168,14 @@ def test_parameter_grid_identities():
         for speed in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
             p = derive_params(MaterialConfig(nu=0.25, nu_p=nu_p, speed_ratio=speed))
             assert p.beta1 > 0.0 and p.beta2 > 0.0
-            assert p.r_param > 1.0
-            assert p.r_param == pytest.approx(closed_form_r(p.a_d, p.a_s), rel=1e-10)
+            assert p.l_param > 0.0
+            _, lam1, lam2, r = wave_factors(p)
+            assert math.cosh(2.0 * math.pi * p.l_param) == pytest.approx(r, rel=1e-10)
             assert abs((p.delta1_minus - p.delta1_plus) - p.eps) <= 1e-12
             prod = math.sinh(math.pi * p.delta1_minus) * math.sinh(
                 math.pi * p.delta1_plus
             )
-            assert abs(p.lam1 * p.lam2 / (4.0 * prod) + 1.0) <= 1e-10
-
-
-def l_from_exact_r(nu_p: float, speed: float) -> float:
-    # independent oracle: l from the cancellation-free form of r - 1 in
-    # v = (V/c_s)**2 and k = (c_d/c_s)**2, positive for every 0 < v < 1
-    k = 2.0 * (1.0 - nu_p) / (1.0 - 2.0 * nu_p)
-    v = speed * speed
-    q = math.sqrt(k * (k - v) * (1.0 - v))
-    rm1 = (k - 1.0) ** 2 * v * v / (2.0 * q * (2.0 * k - (k + 1.0) * v + 2.0 * q))
-    return math.log1p(rm1 + math.sqrt(rm1 * (rm1 + 2.0))) / (2.0 * math.pi)
+            assert abs(lam1 * lam2 / (4.0 * prod) + 1.0) <= 1e-10
 
 
 def test_oscillation_shift_total_on_subsonic_loads():
@@ -197,14 +187,14 @@ def test_oscillation_shift_total_on_subsonic_loads():
         for speed in np.logspace(-140, math.log10(0.99), 141).tolist():
             p = derive_params(MaterialConfig(nu_p=nu_p, speed_ratio=speed))
             assert p.l_param >= 0.0
-            assert abs(p.l_param - l_from_exact_r(nu_p, speed)) <= 3e-7
-    # r is stored as computed; l is 0 where it rounds below 1
+            assert abs(p.l_param - exact_exponents(nu_p, speed)[0]) <= 3e-7
+    # l is 0 where r rounds below 1, though the exact l is positive
     p = derive_params(MaterialConfig(speed_ratio=1e-6))
-    assert p.r_param < 1.0 and p.l_param == 0.0
-    assert _oscillation_shift(beta=4.0, lam1=2.0, lam2=2.0) == (-0.75, 0.0)
-    r, l = _oscillation_shift(beta=4.0, lam1=0.1, lam2=0.1)
-    assert r == pytest.approx(1.245, rel=1e-12)
-    assert math.cosh(2.0 * math.pi * l) == pytest.approx(r, rel=1e-12)
+    assert p.l_param == 0.0 < exact_exponents(0.3, 1e-6)[0]
+    # r = cosh(pi eps) - lam1 lam2 / 2 = 1.25 - 2 = -0.75 and 1.25 - 0.005
+    assert _oscillation_shift(beta=4.0, lam1=2.0, lam2=2.0) == 0.0
+    l = _oscillation_shift(beta=4.0, lam1=0.1, lam2=0.1)
+    assert math.cosh(2.0 * math.pi * l) == pytest.approx(1.245, rel=1e-12)
 
 
 def test_speed_floor_refused_by_name():
@@ -231,6 +221,6 @@ def test_speed_floor_refused_by_name():
 def test_derivation_total_on_valid_inputs(nu, nu_p, speed):
     p = derive_params(MaterialConfig(nu=nu, nu_p=nu_p, speed_ratio=speed))
     assert p.beta1 > 0.0 and p.beta2 > 0.0
-    assert p.r_param >= 1.0
-    assert p.l_param >= 0.0
+    assert p.l_param > 0.0
+    assert math.cosh(2.0 * math.pi * p.l_param) == pytest.approx(wave_factors(p)[3], rel=1e-10)
     assert 0.0 < p.sigma < p.nu

@@ -13,7 +13,6 @@ from gradedload import ConfigError, MaterialConfig, SingularMatrixError, solve_c
 from gradedload.kernels import kernel_g, mellin_m, rhs_f
 from gradedload.params import derive_params
 from gradedload.system import (
-    BlockSystem,
     assemble_rhs,
     block_solve,
     block_system,
@@ -92,16 +91,19 @@ def test_weights_telescope(p01):
 # ---------------------------------------------------------------- matrix
 
 
-def _dense(bs):
-    """The 4N x 4N matrix ``[[D_a, K], [K, D_b]]`` in the solver's order."""
-    return np.block([[np.diag(bs.diag_a), bs.k], [bs.k, np.diag(bs.diag_b)]])
+def _dense(blocks):
+    """The 4N x 4N matrix ``[[D_a, K], [K, D_b]]`` in the solver's order,
+    from the ``(diag_a, diag_b, k)`` of :func:`block_system`."""
+    diag_a, diag_b, k = blocks
+    return np.block([[np.diag(diag_a), k], [k, np.diag(diag_b)]])
 
 
-def _dense_blocks(bs):
-    """The N x N blocks of ``bs`` in the paper's layout, by (row, column)."""
-    n = len(bs.diag_a) // 2
+def _dense_blocks(blocks):
+    """The N x N blocks of ``(diag_a, diag_b, k)`` in the paper's layout,
+    by (row, column)."""
+    n = len(blocks[0]) // 2
     order = solver_order(n)
-    a = _dense(bs)[np.ix_(order, order)]
+    a = _dense(blocks)[np.ix_(order, order)]
     return {
         (bi, bj): a[bi * n:(bi + 1) * n, bj * n:(bj + 1) * n]
         for bi in range(4) for bj in range(4)
@@ -110,15 +112,16 @@ def _dense_blocks(bs):
 
 def test_matrix_block_structure(disc16, p01):
     n = disc16.n
-    bs = block_system(disc16, p01)
-    assert bs.diag_a.shape == bs.diag_b.shape == (2 * n,)
-    assert bs.k.shape == (2 * n, 2 * n)
+    system_blocks = block_system(disc16, p01)
+    diag_a, diag_b, k = system_blocks
+    assert diag_a.shape == diag_b.shape == (2 * n,)
+    assert k.shape == (2 * n, 2 * n)
     # the paper's layout, mapped to the solver's order, is exactly
     # [[D_a, K], [K, D_b]]: one coupling block serves both block rows
     order = solver_order(n)
     dense = dense_matrix(disc16, p01, 1)
-    assert np.array_equal(dense[np.ix_(order, order)], _dense(bs))
-    blocks = _dense_blocks(bs)
+    assert np.array_equal(dense[np.ix_(order, order)], _dense(system_blocks))
+    blocks = _dense_blocks(system_blocks)
     zero = np.zeros((n, n), dtype=complex)
     for ij in ((0, 1), (1, 0), (2, 3), (3, 2)):
         assert np.array_equal(blocks[ij], zero)
@@ -143,9 +146,9 @@ def test_diagonal_entry_independent(p01):
     # re-evaluate one diagonal entry outside the assembler
     n = 50
     d = build_grid(n, p01)
-    bs = block_system(d, p01)
+    diag_a, diag_b, _ = block_system(d, p01)
     # the four diagonal blocks D1..D4 in the paper's order
-    diag = np.concatenate([bs.diag_a, bs.diag_b])[solver_order(n)]
+    diag = np.concatenate([diag_a, diag_b])[solver_order(n)]
     k = 25  # 1-based collocation index
     x = d.colloc[k - 1]
     expected = (
@@ -205,42 +208,42 @@ def _split(a):
     a = np.asarray(a, dtype=complex)
     k = len(a) // 2
     assert np.array_equal(a[:k, k:], a[k:, :k])
-    return BlockSystem(diag_a=np.diag(a[:k, :k]), diag_b=np.diag(a[k:, k:]), k=a[:k, k:])
+    return np.diag(a[:k, :k]), np.diag(a[k:, k:]), a[:k, k:]
 
 
 def test_lu_identity():
-    bs = _split(np.eye(6))
+    blocks = _split(np.eye(6))
     rhs = np.arange(6.0) + 1j
-    u, v, _, _ = block_solve(bs, rhs[:3, None], rhs[3:, None])
+    u, v, _, _ = block_solve(*blocks, rhs[:3, None], rhs[3:, None])
     assert np.array_equal(np.concatenate([u, v])[:, 0], rhs)
 
 
 def test_lu_hand_inverted_case():
     # det = 8 + 4i, so [u; v] = [4; -2i] / (8 + 4i)
     a = np.array([[1.0 + 1.0j, 2.0j], [2.0j, 4.0]])
-    bs = _split(a)
-    u, v, _, _ = block_solve(bs, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
+    blocks = _split(a)
+    u, v, _, _ = block_solve(*blocks, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
     assert u[0, 0] == pytest.approx(0.4 - 0.2j, abs=1e-14)
     assert v[0, 0] == pytest.approx(-0.1 - 0.2j, abs=1e-14)
 
 
 def test_lu_singular_matrix():
-    bs = _split(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    blocks = _split(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError, match="Schur complement"):
-        block_solve(bs, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
+        block_solve(*blocks, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
     # a zero entry of the eliminated diagonal is caught before dividing
-    bs = _split(np.array([[0.0, 1.0], [1.0, 1.0]]))
+    blocks = _split(np.array([[0.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError, match="D_a"):
-        block_solve(bs, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
+        block_solve(*blocks, np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]]))
     # whatever slips past both gates is caught on the refined solution
-    bs = _split(np.eye(2))
+    blocks = _split(np.eye(2))
     with np.errstate(invalid="ignore"), pytest.raises(SingularMatrixError, match="non-finite"):
-        block_solve(bs, np.array([[np.inf + 0j]]), np.array([[0.0 + 0j]]))
+        block_solve(*blocks, np.array([[np.inf + 0j]]), np.array([[0.0 + 0j]]))
 
 
 def test_lu_multiple_rhs():
-    bs = _split(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    u, v, _, _ = block_solve(bs, np.array([[2.0, 0.0]]), np.array([[4.0, 8.0]]))
+    blocks = _split(np.array([[2.0, 0.0], [0.0, 4.0]]))
+    u, v, _, _ = block_solve(*blocks, np.array([[2.0, 0.0]]), np.array([[4.0, 8.0]]))
     assert np.allclose(u, [[1.0, 0.0]])
     assert np.allclose(v, [[1.0, 2.0]])
 
@@ -289,7 +292,7 @@ def test_block_solve_returns_its_residual(disc16, p01, monkeypatch):
     for sloppy in (False, True):
         if sloppy:
             monkeypatch.setattr(system, "zgetrs", overshooting)
-        u, v, ra, rb = block_solve(block_system(disc16, p01), rhs_a, rhs_b)
+        u, v, ra, rb = block_solve(*block_system(disc16, p01), rhs_a, rhs_b)
         residual = rhs - a @ np.vstack([u, v])
         assert np.abs(np.vstack([ra, rb]) - residual).max() <= 1e-13 * np.abs(rhs).max()
         got = solve_system(MaterialConfig(), n).residuals

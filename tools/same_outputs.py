@@ -10,13 +10,15 @@ the ``src`` of another checkout.  The script imports the package from the
 ``src`` of the checkout it sits in and then from ``OTHER_SRC``, in one
 process with one BLAS thread, and runs both on the same seeded study
 configs at n = 100, on a smaller seeded set of slow loads with V/c_s
-log-uniform in [1e-12, 1e-3], and on a small seeded set of study configs
-at the odd n = 75.  Per config it records
+log-uniform in [1e-12, 1e-3], on a small seeded set of study configs
+at the odd n = 75, and on a fixed set of edge configs at n = 100: loads
+of +-1e308, and nu, nu_p and V/c_s at or near the ends of their ranges.
+Per config it records
 
-- the ``solve_case`` outputs by quantity class: the density stacks
-  ``f1``/``f2``, the solve residuals, Delta, C+- and each expansion
-  coefficient of both sides of the load, or the class and message of the
-  error it raised;
+- the ``solve_case`` outputs by quantity class: the derived exponents
+  eps, l and delta1+- (class "params"), the density stacks ``f1``/``f2``,
+  the solve residuals, Delta, C+- and each expansion coefficient of both
+  sides of the load, or the class and message of the error it raised;
 - per query point, each field of ``evaluate_point``'s result, or the
   class and message of the error it raised.
 
@@ -26,9 +28,10 @@ It records the same ``solve_case`` outputs for the five configs of
 
 Values are compared as raw bytes, so equal means equal to the bit.  It
 prints how many records differ, and how many of those belong to the slow
-loads, to the odd-n set and to the reference configs at n = 400.  When any
-differ, it prints per quantity class (the densities, the residuals, Delta,
-C+-, each coefficient, each point field) the largest relative difference,
+loads, to the odd-n set, to the edge configs and to the reference configs
+at n = 400.  When any differ, it prints per quantity class (the derived
+exponents, the densities, the residuals, Delta, C+-, each coefficient,
+each point field) the largest relative difference,
 max |ours - theirs| over max |theirs|, and the config where it occurs.  It exits 1 if any record
 differs, 2 if ``OTHER_SRC`` holds no package.
 """
@@ -69,6 +72,16 @@ SLOW_HIGH = (0.95, -3.0, 0.45)
 ODD_SEED = 2
 ODD_CONFIGS = 64
 N_ODD = 75
+# the edges of the domain, each a MaterialConfig's arguments: loads at the
+# float limit, nu -> 0 and 1, nu_p -> 0.5, V/c_s -> 1, and a V/c_s in the
+# band just above the speed floor where coeff_b's denominator overflows
+EDGE = (
+    dict(h1=1e308, h2=1e308), dict(h1=-1e308, h2=-1e308), dict(h1=1e308, h2=0.0),
+    dict(nu=1e-300), dict(nu=1e-12), dict(nu=1.0 - 2.0**-53),
+    dict(nu_p=0.4999), dict(nu_p=0.5 - 2.0**-54),
+    dict(speed_ratio=0.999), dict(speed_ratio=1.0 - 2.0**-53),
+    dict(speed_ratio=1.7e-154, nu_p=0.0),
+)
 # perfbench's MIX: surface, near, gap and deep points on both sides of xi0 = 0
 POINTS = (
     (-1.0, 0.0), (1.0, 0.0), (-0.25, 0.0), (2.0, 0.0),
@@ -99,16 +112,18 @@ def _error(exc: Exception) -> str:
 def _solve(pkg, material, n: int):
     """The case and the record of its solve outputs, or None and the error.
 
-    The record maps each quantity class to its values: the density stacks,
-    the residuals, Delta, C+- and each expansion coefficient of both sides.
+    The record maps each quantity class to its values: the derived
+    exponents, the density stacks, the residuals, Delta, C+- and each
+    expansion coefficient of both sides.
     """
     try:
         case = pkg.solve_case(material, n=n)
     except Exception as exc:  # an error, typed or not, is an output to compare
         return None, _error(exc)
-    sol, bc = case.solution, case.constants
+    p, sol, bc = case.params, case.solution, case.constants
     sides = (case.coeffs_plus, case.coeffs_minus)
     return case, {
+        "params": np.array([p.eps, p.l_param, p.delta1_minus, p.delta1_plus]),
         "densities": np.concatenate([sol.f1, sol.f2]),
         "residuals": np.array([sol.residuals[m] for m in sorted(sol.residuals)]),
         "Delta": np.array(bc.delta_plus),
@@ -128,18 +143,23 @@ def _point(pkg, case, xi: float, y: float):
 
 
 def configs() -> list:
-    """(key, n, nu, speed_ratio, nu_p) of the study configs, the slow loads
-    and the odd-n set."""
+    """(key, n, MaterialConfig arguments) of the study configs, the slow
+    loads, the odd-n set and the edge configs."""
     draws = np.random.default_rng(SEED).uniform(LOW, HIGH, size=(CONFIGS, 3))
     slow = np.random.default_rng(SLOW_SEED).uniform(
         SLOW_LOW, SLOW_HIGH, size=(SLOW_CONFIGS, 3)
     )
     slow[:, 1] = 10.0 ** slow[:, 1]
     odd = np.random.default_rng(ODD_SEED).uniform(LOW, HIGH, size=(ODD_CONFIGS, 3))
+
+    def drawn(rows):
+        return [dict(nu=nu, speed_ratio=speed, nu_p=nu_p) for nu, speed, nu_p in rows.tolist()]
+
     return (
-        [(k, N, *row) for k, row in enumerate(draws.tolist())]
-        + [(f"slow {k}", N, *row) for k, row in enumerate(slow.tolist())]
-        + [(f"odd {k}", N_ODD, *row) for k, row in enumerate(odd.tolist())]
+        [(k, N, material) for k, material in enumerate(drawn(draws))]
+        + [(f"slow {k}", N, material) for k, material in enumerate(drawn(slow))]
+        + [(f"odd {k}", N_ODD, material) for k, material in enumerate(drawn(odd))]
+        + [(f"edge {k}", N, material) for k, material in enumerate(EDGE)]
     )
 
 
@@ -147,9 +167,8 @@ def outputs(src: Path) -> dict:
     """Record of every output of the tree at ``src``, keyed by (config, point)."""
     pkg = _import(src)
     records = {}
-    for k, n, nu, speed_ratio, nu_p in configs():
-        material = pkg.MaterialConfig(nu=nu, speed_ratio=speed_ratio, nu_p=nu_p)
-        case, records[k, "solve"] = _solve(pkg, material, n)
+    for k, n, material in configs():
+        case, records[k, "solve"] = _solve(pkg, pkg.MaterialConfig(**material), n)
         if case is not None:
             for xi, y in POINTS:
                 records[k, (xi, y)] = _point(pkg, case, xi, y)
@@ -253,13 +272,14 @@ def main(argv: list[str]) -> int:
         print(f"  {name}: largest relative difference {size:.3g} at config {key[0]}, {key[1]}")
     groups = {
         group: {key for key in keys if str(key[0]).startswith(group)}
-        for group in ("slow", "odd", "reference")
+        for group in ("slow", "odd", "edge", "reference")
     }
     print(f"{len(differ)} of {len(keys)} outputs differ, "
           + ", ".join(f"{len(members.intersection(differ))} of them among the {len(members)} "
                       f"{group} records" for group, members in groups.items())
-          + f" ({CONFIGS} + {SLOW_CONFIGS} configs x {len(POINTS)} points at n = {N}, "
-          f"{ODD_CONFIGS} at n = {N_ODD}, and the reference configs at n = {N_REFERENCE}; "
+          + f" ({CONFIGS} + {SLOW_CONFIGS} + {len(EDGE)} configs x {len(POINTS)} points "
+          f"at n = {N}, {ODD_CONFIGS} at n = {N_ODD}, and the reference configs at "
+          f"n = {N_REFERENCE}; "
           f"{SRC} against {other})")
     return 1 if differ else 0
 
