@@ -37,7 +37,6 @@ from .errors import (
     RealnessError,
     SingularPointError,
 )
-from .kernels import coeff_b
 from .params import DerivedParams, MaterialConfig, real_float
 from .system import SIESolution
 
@@ -171,17 +170,23 @@ class FieldCoefficients:
 
     ``kappa = sgn(xi0 - xi)`` names the side and labels it in the text
     report.  ``d0`` and ``d2`` drive the near-surface displacement expansion
-    ``d0 + d2 eta^2``, ``e1`` the deep expansion of the tangential
-    derivative, each a pair of Python ``complex`` indexed by component
-    (j - 1).  The odd coefficient ``d1`` and the deep constant ``e0`` are
+    ``d0 + d2 eta^2``, each a pair of Python ``complex`` indexed by
+    component (j - 1).  ``e1``, the coefficient of the deep expansion of the
+    tangential derivative, is derived from d0: with ``k = cd2_cs2`` and
+    ``c = (beta1, beta2 (k - 2)/k)``, ``e1_j = kappa nu pi c_j d0_{3-j}``,
+    which is the paper's ``-(2 kappa/pi) b_j(1) sqrt(beta_j) Gamma(nu)
+    Gamma((1 - nu)/2) mix_{3-j}`` by Legendre's duplication and Euler's
+    reflection formula.  It is stored because the text report prints it.
+    The odd coefficient ``d1`` and the deep constant ``e0`` are
     multiples of ``Phi_+ C_+ - Phi_- C_-``, zero because both constant
     pairs solve ``Phi C = gamma H``, and the eta^3 coefficient vanishes by
     periodicity; none of the three is stored.
 
     ``plan`` holds every constant of the side's expansions, built once per
     case with the coefficients, in the order :func:`evaluate_point`
-    unpacks it.  It is derived from the coefficients, so it takes no part
-    in ``repr`` or ``==``.
+    unpacks it; its last two entries are the deep constants
+    ``-nu c_j d0_{3-j} = -e1_j/(kappa pi)``.  It is derived from the
+    coefficients, so it takes no part in ``repr`` or ``==``.
     """
 
     kappa: float
@@ -197,43 +202,44 @@ def field_coeffs(
     """Expansion coefficients of both sides of the load, ``(plus, minus)``.
 
     ``plus`` belongs to the side xi < xi0, ``kappa = sgn(xi0 - xi) = +1``,
-    and ``minus`` to the side xi > xi0, kappa = -1.  A coefficient that
-    is not finite, which only loads near 1e308 cause, is a ConfigError.
+    and ``minus`` to the side xi > xi0, kappa = -1.  d0 and d2 come from
+    the load constants, and the deep constants and e1 from d0 in closed
+    form (see :class:`FieldCoefficients`).  A coefficient that is not
+    finite, which only loads near 1e308 cause, is a ConfigError.
     """
     nu = p.nu
     lam0 = p.cd2_cs2 - 2.0  # lam0/mu0 from (lam0 + 2 mu0)/mu0
     lead = math.gamma(nu / 2.0) * 2.0 ** (nu - 1.0) / (
         np.pi ** 1.5 * math.cos(np.pi * nu / 2.0)
     )
-    b_at_1 = coeff_b(1.0, p)
+    # the deep factors: the deep constant of component j is -nu c_j d0_{3-j}
+    c = (p.beta1, p.beta2 * lam0 / p.cd2_cs2)
 
     def side(kappa: float) -> FieldCoefficients:
         turn = np.exp(1j * np.pi * kappa * nu / 2.0)
         # per component, the two sign variants' constants turned by +-pi nu/2
         mix = [turn * bc.c_plus[k] + bc.c_minus[k] / turn for k in (0, 1)]
-        d0, d2, e1 = [], [], []
+        d0, d2 = [], []
         for j, beta_j in ((1, p.beta1), (2, p.beta2)):
             d0_j = lead * mix[j - 1]
             d0.append(complex(d0_j))
             d2.append(complex(-nu * d0_j / (2.0 * beta_j)))
-            e1.append(complex(
-                -2.0 * kappa / np.pi * b_at_1[j - 1] * math.sqrt(beta_j)
-                * math.gamma(nu) * math.gamma((1.0 - nu) / 2.0) * mix[2 - j]
-            ))
+        deep = (-nu * c[0] * d0[1], -nu * c[1] * d0[0])
+        e1 = tuple(-kappa * math.pi * v for v in deep)
         sgn = -kappa  # sgn(xi - xi0) on this side
         # every constant prefix of evaluate_point's written expansion, each
         # formed in the left-to-right order Python evaluates that expansion
         # in, so the fields keep every bit of the written form
         plan = (
-            nu, sgn, -nu, -nu - 1.0, nu - 1.0, *d0, *d2,
+            nu, sgn, -nu, -nu - 1.0, *d0, *d2,
             -nu * d0[0], -nu * d0[1], (nu + 2.0) * d2[0], (nu + 2.0) * d2[1],
             -nu * sgn * d0[1], 2.0 * d2[0], (nu + 2.0) * sgn * d2[1],
             -lam0 * nu * sgn * d0[0], p.cd2_cs2 * 2.0 * d2[1], lam0 * (nu + 2.0) * sgn * d2[0],
-            *e1,
+            *deep,
         )
-        # the plan holds d0, d2 and e1 themselves, so one gate covers all
-        _require_finite(config, "the expansion coefficients", plan)
-        return FieldCoefficients(kappa=kappa, d0=tuple(d0), d2=tuple(d2), e1=tuple(e1), plan=plan)
+        # the plan holds d0 and d2 themselves, so with e1 one gate covers all
+        _require_finite(config, "the expansion coefficients", (*plan, *e1))
+        return FieldCoefficients(kappa=kappa, d0=tuple(d0), d2=tuple(d2), e1=e1, plan=plan)
 
     with np.errstate(all="ignore"):  # the gate in side() reports an overflow
         return side(1.0), side(-1.0)
@@ -355,7 +361,9 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
       - (nu + 2) * sgn * d2[1] * eta**2)``;
     - ``s22 = eta**nu / dist * (-lam0 * nu * sgn * d0[0] + cd2_cs2 * 2 * d2[1] * eta
       - lam0 * (nu + 2) * sgn * d2[0] * eta**2)``;
-    - deep: ``du_j/dxi = e1[j] * eta**(nu - 1) / (pi * (xi - xi0) * y**nu)``.
+    - deep: ``du_j/dxi = -nu * c[j] * d0[1 - j] * (dist**(-nu) / y)`` with
+      ``c = (beta1, beta2 * lam0 / cd2_cs2)``, which is
+      ``e1[j] * eta**(nu - 1) / (pi * (xi - xi0) * y**nu)``.
 
     The stresses pair indices as the printed expansion does: the shear
     stress mixes the normal zeroth-order with the tangential second-order
@@ -383,8 +391,8 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
         return _tuple_new(
             FieldResult, (xi, y, eta, expansion, None, None, None, None, None, None, 0.0)
         )
-    (nu, sgn, pow_u, pow_du, pow_deep, u0_a, u0_b, u2_a, u2_b, du0_a, du0_b, du2_a, du2_b,
-     s12_0, s12_1, s12_2, s22_0, s22_1, s22_2, e1_a, e1_b) = case.side(xi).plan
+    (nu, sgn, pow_u, pow_du, u0_a, u0_b, u2_a, u2_b, du0_a, du0_b, du2_a, du2_b,
+     s12_0, s12_1, s12_2, s22_0, s22_1, s22_2, deep_a, deep_b) = case.side(xi).plan
     dist = abs(xi - xi0)
     try:
         # leaving the float range ends in the typed error below, never in inf
@@ -407,9 +415,8 @@ def evaluate_point(case: CaseSolution, xi: float, y: float) -> FieldResult:
             return _tuple_new(
                 FieldResult, (xi, y, eta, "near", u1, u2, du1, du2, s12, s22, max(r_u, r_du, r_s))
             )
-        tail = eta**pow_deep
-        scale = math.pi * (xi - xi0) * y**nu
-        du1, du2, r_du = _project(e1_a * tail / scale, e1_b * tail / scale)
+        amp = dist**pow_u / y
+        du1, du2, r_du = _project(deep_a * amp, deep_b * amp)
         return _tuple_new(
             FieldResult, (xi, y, eta, "deep", None, None, du1, du2, None, None, r_du)
         )

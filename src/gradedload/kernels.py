@@ -53,12 +53,13 @@ _CVZ_K = np.arange(_CVZ_TERMS, dtype=float)
 def coeff_b(s, p: DerivedParams):
     """Both rational prefactors ``(b_1(s), b_2(s))`` of the kernel symbols.
 
-    Real for real ``s``; accepts complex scalars or arrays.
+    Real for real ``s``; ``s`` is taken as a complex array, so a scalar
+    comes back as 0-d arrays.  :func:`kernel_g` is its one caller.
     """
     a_s2 = p.a_s**2
     a_d2 = p.a_d**2
     nu = p.nu
-    s = np.asarray(s, dtype=complex) if np.ndim(s) else complex(s)
+    s = np.asarray(s, dtype=complex)
     num1 = (a_d2 - a_s2) * (s - 1.0) - nu * a_s2
     den1 = 2.0 * (a_d2 - 1.0) * p.beta2 ** ((1.0 - s) / 2.0) * p.beta1 ** (s / 2.0)
     num2 = (a_d2 - a_s2) * (s - 1.0) - nu * (a_d2 - 2.0 * a_s2)

@@ -201,6 +201,21 @@ def test_underflowing_strip_offset_exit_code(capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_residual_gate_exit_code(capsys):
+    # near the incompressible limit the solve keeps a residual of 2e-9 or
+    # more, far above the 1e-10 gate: the case is refused (exit 3), not reported, and
+    # each sweep row names the error
+    assert main(["--nu-p", "0.4999"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "SingularMatrixError: load component m = 1: relative solve residual "
+    )
+    assert main(["--nu-p", "0.4999", "--sweep", "nu", "--sweep-range", "0.2:0.3:0.1"]) == 3
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["SingularMatrixError"] * 2
+
+
 def test_build_run_config_keeps_class_defaults():
     assert cli._build_run_config({}) == RunConfig()
 

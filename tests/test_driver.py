@@ -427,12 +427,12 @@ def test_sweep_stays_inside_validated_range():
     # outside the (0, 1) gate that RunConfig checked; so does the endpoint
     # 1 - 1e-11 once float drift carries 0.5 + 0.5 to 1.0.  A config error
     # would abort the sweep; the error column takes only numerical failures,
-    # here the realness gate at V/c_s = 1 - 1e-11 and n = 25.
+    # here the solve residual gate at V/c_s = 1 - 1e-11 and n = 25.
     for sweep, sweep_range, values, errors in (
         ("nu", (0.5, 0.99, 0.5), ["0.5"], [""]),
         ("speed", (0.3, 0.9, 0.4), ["0.3", "0.7"], ["", ""]),
         ("nu", (0.5, 1 - 1e-11, 0.5), ["0.5", "1"], ["", ""]),
-        ("speed", (0.5, 1 - 1e-11, 0.5), ["0.5", "1"], ["", "RealnessError"]),
+        ("speed", (0.5, 1 - 1e-11, 0.5), ["0.5", "1"], ["", "SingularMatrixError"]),
     ):
         rc = RunConfig(n=25, sweep=sweep, sweep_range=sweep_range)
         header, rows = run_sweep(rc)

@@ -1,7 +1,10 @@
 """Boundary functionals, load constants, expansion coefficients, and fields."""
 
+import cmath
 import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from gradedload import (
     evaluate_point,
 )
 from gradedload.fields import FieldResult, _project, boundary_phi, constants_c
+from gradedload.kernels import coeff_b
 from gradedload.system import SIESolution
 
 # regression values from this implementation (cross-checked against the
@@ -309,8 +313,91 @@ def test_deep_derivative_formula(case100):
     assert term_9 < term_3
 
 
+def _e1_by_gamma(case):
+    """e1 of both sides, ``(plus, minus)``, by the paper's Gamma form
+
+    ``e1_j = -(2 kappa/pi) b_j(1) sqrt(beta_j) Gamma(nu) Gamma((1 - nu)/2) mix_{3-j}``
+
+    with ``mix_j = turn C_{j+} + C_{j-}/turn``, ``turn = exp(i pi kappa nu/2)``,
+    from the load constants alone.  field_coeffs forms e1 from d0 instead;
+    the duplication and reflection formulas make the two equal, and this
+    form shares neither d0's gamma factor nor its cosine.
+    """
+    p, bc, nu = case.params, case.constants, case.params.nu
+    b = coeff_b(1.0, p)
+    root = (math.sqrt(p.beta1), math.sqrt(p.beta2))
+    gammas = math.gamma(nu) * math.gamma((1.0 - nu) / 2.0)
+    sides = []
+    for kappa in (1.0, -1.0):
+        turn = cmath.exp(1j * math.pi * kappa * nu / 2.0)
+        mix = [turn * bc.c_plus[k] + bc.c_minus[k] / turn for k in (0, 1)]
+        sides.append([
+            -2.0 * kappa / math.pi * complex(b[j]) * root[j] * gammas * mix[1 - j]
+            for j in (0, 1)
+        ])
+    return sides
+
+
+def _assert_deep_expansion_is_gamma_form(case):
+    # e1 of each side, and the deep derivatives evaluate_point gives on
+    # that side, against the Gamma form of e1 and the deep expansion
+    # written from it, du_j = e1_j eta**(nu - 1)/(pi (xi - xi0) y**nu),
+    # each to 1e-12 of the pair's largest modulus; a point whose written
+    # pair keeps an imaginary residue above 1e-2 must be refused
+    nu, xi0 = case.params.nu, case.config.xi0
+    sides = (case.coeffs_plus, case.coeffs_minus)
+    for co, e1, sgn in zip(sides, _e1_by_gamma(case), (-1.0, 1.0)):
+        gap = max(abs(co.e1[j] - e1[j]) for j in (0, 1))
+        assert gap <= 1e-12 * max(abs(v) for v in co.e1), (case.config, co.kappa)
+        for dist, depth in ((1.0, 2.0), (0.3, 7.5), (4.0, 40.0)):
+            xi, y = xi0 + sgn * dist, depth * dist
+            eta = y / abs(xi - xi0)
+            written = [
+                e1[j] * eta ** (nu - 1.0) / (math.pi * (xi - xi0) * y**nu) for j in (0, 1)
+            ]
+            scale = max(abs(v) for v in written)
+            if max(abs(v.imag) for v in written) > 0.99e-2 * scale:
+                with pytest.raises(RealnessError):
+                    evaluate_point(case, xi, y)
+                continue
+            res = evaluate_point(case, xi, y)
+            du = (res.du1_dxi, res.du2_dxi)
+            gap = max(abs(du[j] - written[j].real) for j in (0, 1))
+            assert gap <= 1e-12 * scale, (case.config, xi, y)
+
+
+_REFERENCE = pathlib.Path(__file__).parent.parent / "perfbench" / "reference.json"
+
+
+def test_deep_expansion_is_the_gamma_form():
+    # the benchmark's reference configs, a slow load and the compressible
+    # end nu_p = 0, where lam0 = cd2_cs2 - 2 vanishes and e1_2 with it
+    configs = [
+        {name: ref[name] for name in ("nu", "speed_ratio", "nu_p")}
+        for ref in json.loads(_REFERENCE.read_text())["configs"]
+    ]
+    configs += [dict(speed_ratio=1e-8), dict(nu_p=0.0), dict(nu_p=1e-4)]
+    for material in configs:
+        _assert_deep_expansion_is_gamma_form(cached_case(n=25, **material))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(
+    # both forms are linear in the loads, which keep their default: a
+    # subnormal load leaves no digits to compare
+    material=st.fixed_dictionaries({
+        "nu": st.floats(0.05, 0.95),
+        "nu_p": st.floats(0.0, 0.45),
+        "speed_ratio": st.floats(0.05, 0.95),
+        "xi0": st.floats(-1.0, 1.0),
+    }),
+)
+def test_deep_expansion_is_the_gamma_form_everywhere(material):
+    _assert_deep_expansion_is_gamma_form(cached_case(n=25, **material))
+
+
 def _written_point(case, xi, y):
-    """evaluate_point's record written out from d0, d2 and e1 alone.
+    """evaluate_point's record written out from d0 and d2 alone.
 
     Each pair is projected by the max()-based definition of _project;
     imag_residue is the largest residue over the reported pairs, 0.0 for
@@ -319,7 +406,7 @@ def _written_point(case, xi, y):
     p, xi0 = case.params, case.config.xi0
     nu, lam0 = p.nu, p.cd2_cs2 - 2.0
     co = case.coeffs_plus if xi < xi0 else case.coeffs_minus
-    d0, d2, e1 = co.d0, co.d2, co.e1
+    d0, d2 = co.d0, co.d2
     dist = abs(xi - xi0)
     eta = y / dist
     sgn = math.copysign(1.0, xi - xi0)
@@ -351,8 +438,9 @@ def _written_point(case, xi, y):
         )
     if eta < 2.0:
         return FieldResult(xi=xi, y=y, eta=eta, expansion="out-of-range")
+    c = (p.beta1, p.beta2 * lam0 / p.cd2_cs2)
     du = _project_by_max(*[
-        e1[j] * eta ** (nu - 1.0) / (math.pi * (xi - xi0) * y**nu) for j in (0, 1)
+        (-nu * c[j] * d0[1 - j]) * (dist ** (-nu) / y) for j in (0, 1)
     ])
     return FieldResult(
         xi=xi, y=y, eta=eta, expansion="deep", du1_dxi=du[0], du2_dxi=du[1],

@@ -29,11 +29,14 @@ It records the same ``solve_case`` outputs for the five configs of
 Values are compared as raw bytes, so equal means equal to the bit.  It
 prints how many records differ, and how many of those belong to the slow
 loads, to the odd-n set, to the edge configs and to the reference configs
-at n = 400.  When any differ, it prints per quantity class (the derived
-exponents, the densities, the residuals, Delta, C+-, each coefficient,
-each point field) the largest relative difference,
-max |ours - theirs| over max |theirs|, and the config where it occurs.  It exits 1 if any record
-differs, 2 if ``OTHER_SRC`` holds no package.
+at n = 400.  When any differ, it prints for each group of configs (study,
+slow, odd, edge, reference) in which records differ, per quantity class
+(the derived exponents, the densities, the residuals, Delta, C+-, each
+coefficient, each point field), the largest relative difference,
+max |ours - theirs| over max |theirs|, and the config where it occurs, so
+one config at an edge of the domain does not hide the size of the
+differences in the study domain.  It exits 1 if any record differs, 2 if
+``OTHER_SRC`` holds no package.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ EDGE = (
     dict(speed_ratio=0.999), dict(speed_ratio=1.0 - 2.0**-53),
     dict(speed_ratio=1.7e-154, nu_p=0.0),
 )
+# the groups of configs, named by the first word of a key; a study config's
+# key is its number alone
+GROUPS = ("study", "slow", "odd", "edge", "reference")
 # perfbench's MIX: surface, near, gap and deep points on both sides of xi0 = 0
 POINTS = (
     (-1.0, 0.0), (1.0, 0.0), (-0.25, 0.0), (2.0, 0.0),
@@ -103,6 +109,11 @@ def _import(src: Path):
     if src.resolve() not in Path(gradedload.__file__).resolve().parents:
         raise SystemExit(f"imported gradedload from {gradedload.__file__}, not from {src}")
     return gradedload
+
+
+def group_of(key) -> str:
+    """The group of a record's (config, point) key."""
+    return key[0].split()[0] if isinstance(key[0], str) else "study"
 
 
 def _error(exc: Exception) -> str:
@@ -268,15 +279,19 @@ def main(argv: list[str]) -> int:
         a, b = _shown(ours.get(key), theirs.get(key))
         print(f"differs at config {key[0]}, {key[1]}:\n  {SRC}: {a!r:.300}\n"
               f"  {other}: {b!r:.300}")
-    for name, (size, key) in sorted(largest_differences(ours, theirs, differ).items()):
-        print(f"  {name}: largest relative difference {size:.3g} at config {key[0]}, {key[1]}")
-    groups = {
-        group: {key for key in keys if str(key[0]).startswith(group)}
-        for group in ("slow", "odd", "edge", "reference")
-    }
+    groups = {group: set() for group in GROUPS}
+    for key in keys:
+        groups[group_of(key)].add(key)
+    for group, members in groups.items():
+        top = largest_differences(ours, theirs, members.intersection(differ))
+        if top:
+            print(f"{group} configs:")
+        for name, (size, key) in sorted(top.items()):
+            print(f"  {name}: largest relative difference {size:.3g} "
+                  f"at config {key[0]}, {key[1]}")
     print(f"{len(differ)} of {len(keys)} outputs differ, "
-          + ", ".join(f"{len(members.intersection(differ))} of them among the {len(members)} "
-                      f"{group} records" for group, members in groups.items())
+          + ", ".join(f"{len(groups[group].intersection(differ))} of them among the "
+                      f"{len(groups[group])} {group} records" for group in GROUPS[1:])
           + f" ({CONFIGS} + {SLOW_CONFIGS} + {len(EDGE)} configs x {len(POINTS)} points "
           f"at n = {N}, {ODD_CONFIGS} at n = {N_ODD}, and the reference configs at "
           f"n = {N_REFERENCE}; "
